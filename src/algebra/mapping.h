@@ -63,7 +63,11 @@ class Mapping {
   Mapping RestrictTo(const std::vector<VarId>& vars) const;
 
   /// Fixed per-mapping overhead the resource accountant charges on top of
-  /// the binding payload (vector slot + dedup-set node bookkeeping).
+  /// the binding payload: the mapping's slot in its set's list, its
+  /// binding vector's heap block header and its share of the set's dedup
+  /// index. A set stores each mapping once, so this over-counts a little;
+  /// the figure is kept so byte caps and the cache budget mean what they
+  /// always have.
   static constexpr size_t kApproxFixedBytes = 64;
 
   /// Approximate footprint as the accountant counts it. Deliberately a

@@ -1,24 +1,27 @@
 #include "algebra/mapping_set.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <utility>
 
 #include "obs/tracer.h"
+#include "util/check.h"
 #include "util/limits.h"
 #include "util/thread_pool.h"
 
 namespace rdfql {
 namespace {
 
-// How many outer-loop iterations a serial kernel runs between cooperative
-// checkpoints. Power of two so the test compiles to a mask; small enough
-// that a tripped token stops a quadratic scan promptly, large enough that
-// the ungoverned cost (a relaxed load) vanishes in the loop body.
+// How many units of work (a probe-side row, or one candidate it examines)
+// a serial kernel runs between cooperative checkpoints. Power of two so the
+// per-candidate tests compile to a mask; small enough that a tripped token
+// stops a quadratic scan promptly, large enough that the ungoverned cost (a
+// relaxed load) vanishes in the loop body.
 constexpr uint64_t kCheckpointStride = 1024;
 
-// Below this many probe-side (resp. left-side) mappings the fork/join
-// overhead outweighs the work; the kernels stay serial. The threshold only
-// affects scheduling, never results — outputs are scheduling-independent.
+// Below this many probe-side mappings the fork/join overhead outweighs the
+// work; the kernels stay serial. The threshold only affects scheduling,
+// never results — outputs are scheduling-independent.
 constexpr size_t kParallelKernelMinInput = 64;
 
 // Chunk layout for a parallel kernel: `chunks` contiguous ranges covering
@@ -36,53 +39,286 @@ bool UseParallel(ThreadPool* pool, size_t n) {
          n >= kParallelKernelMinInput;
 }
 
-// Variables bound in every mapping of `s` (the certain variables). For an
-// empty set, returns empty — callers handle that case directly.
-std::vector<VarId> CertainVars(const MappingSet& s) {
-  std::vector<VarId> certain;
-  bool first = true;
-  for (const Mapping& m : s) {
-    if (first) {
-      certain = m.Domain();
-      first = false;
-      continue;
-    }
-    std::vector<VarId> dom = m.Domain();
-    std::vector<VarId> keep;
-    std::set_intersection(certain.begin(), certain.end(), dom.begin(),
-                          dom.end(), std::back_inserter(keep));
-    certain.swap(keep);
-    if (certain.empty()) break;
-  }
-  return certain;
+// Whether a scan that has examined `visited` candidates for one probe row
+// may go on: polls the token every kCheckpointStride candidates, so a row
+// facing a huge bucket (or all of Ω2, on the pairwise path) stops promptly.
+bool KeepScanning(uint64_t visited) {
+  return (visited & (kCheckpointStride - 1)) != 0 || CooperativeCheckpoint();
 }
 
-// Hash of µ restricted to `vars` (vars ⊆ dom(µ) guaranteed by caller).
+// The variables bound in every mapping of both non-empty inputs, sorted.
+// One pass over each side and one allocation: the running intersection,
+// seeded with dom(µ) of b's first mapping, is filtered in place against each
+// mapping's sorted bindings.
+std::vector<VarId> SharedCertainVars(const MappingSet& a,
+                                     const MappingSet& b) {
+  std::vector<VarId> vars = b.mappings().front().Domain();
+  for (const MappingSet* side : {&b, &a}) {
+    for (const Mapping& m : *side) {
+      if (vars.empty()) return vars;
+      const auto& bindings = m.bindings();
+      size_t j = 0;
+      size_t kept = 0;
+      for (VarId v : vars) {
+        while (j < bindings.size() && bindings[j].first < v) ++j;
+        if (j < bindings.size() && bindings[j].first == v) vars[kept++] = v;
+      }
+      vars.resize(kept);
+    }
+  }
+  return vars;
+}
+
+// Hash of µ restricted to `vars` (sorted, and ⊆ dom(µ) by the caller).
 uint64_t KeyHash(const Mapping& m, const std::vector<VarId>& vars) {
+  const auto& bindings = m.bindings();
   uint64_t h = 0x243f6a8885a308d3ULL;
+  size_t j = 0;
   for (VarId v : vars) {
-    h = (h ^ *m.Get(v)) * 0x9e3779b97f4a7c15ULL;
+    while (bindings[j].first < v) ++j;
+    h = (h ^ bindings[j].second) * 0x9e3779b97f4a7c15ULL;
   }
   return h;
+}
+
+// Hash table over one side of a binary operator, keyed on each mapping's
+// restriction to the shared certain variables. Rows of one bucket sit
+// contiguously in build order, so the whole table is two flat arrays
+// however many rows or distinct keys there are.
+class KeyTable {
+ public:
+  KeyTable(const MappingSet& build, std::vector<VarId> vars)
+      : vars_(std::move(vars)) {
+    const std::vector<Mapping>& rows = build.mappings();
+    RDFQL_CHECK_MSG(rows.size() < (size_t{1} << 32), "join input too large");
+    // At least two buckets, so the shift below stays under 64.
+    size_t buckets = std::bit_ceil(std::max<size_t>(rows.size(), 2));
+    shift_ = 64 - std::countr_zero(buckets);
+    std::vector<uint64_t> hashes(rows.size());
+    offsets_.assign(buckets + 1, 0);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      hashes[i] = KeyHash(rows[i], vars_);
+      ++offsets_[Bucket(hashes[i]) + 1];
+    }
+    for (size_t b = 0; b < buckets; ++b) offsets_[b + 1] += offsets_[b];
+    // Stable counting sort: `next` is each bucket's fill cursor.
+    std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+    entries_.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      entries_[next[Bucket(hashes[i])]++] = {hashes[i], &rows[i]};
+    }
+  }
+
+  // Calls fn(row) for each build row whose key hashes like `probe`'s, in
+  // build order, until fn returns false (or the query is cancelled).
+  // Returns the number of rows it was called on — the join probes.
+  template <typename Fn>
+  uint64_t ForEachCandidate(const Mapping& probe, Fn&& fn) const {
+    uint64_t h = KeyHash(probe, vars_);
+    size_t bucket = Bucket(h);
+    uint64_t visited = 0;
+    for (uint32_t i = offsets_[bucket]; i < offsets_[bucket + 1]; ++i) {
+      if (entries_[i].hash != h) continue;
+      ++visited;
+      if (!fn(*entries_[i].row) || !KeepScanning(visited)) break;
+    }
+    return visited;
+  }
+
+ private:
+  struct Entry {
+    uint64_t hash;
+    const Mapping* row;
+  };
+
+  // The top bits of the multiplicative key hash are its best mixed.
+  size_t Bucket(uint64_t hash) const { return hash >> shift_; }
+
+  std::vector<VarId> vars_;
+  int shift_ = 0;
+  // Bucket b's rows are entries_[offsets_[b], offsets_[b + 1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<Entry> entries_;
+};
+
+// The candidates when the inputs share no certain variable: every row.
+struct AllRows {
+  const MappingSet& rows;
+
+  template <typename Fn>
+  uint64_t ForEachCandidate(const Mapping& /*probe*/, Fn&& fn) const {
+    uint64_t visited = 0;
+    for (const Mapping& row : rows) {
+      ++visited;
+      if (!fn(row) || !KeepScanning(visited)) break;
+    }
+    return visited;
+  }
+};
+
+// The one probe loop behind ⋈, ∖ and ⟕: runs `probe_row(row, emit)` for
+// every row of `rows`, in order, where `emit` takes a Mapping (by const
+// reference to copy it, by rvalue to move it) and `probe_row` returns the
+// join probes the row cost; the sum lands in the node's OpCounters.
+//
+// Serial, it emits straight into the result and polls for cancellation
+// every kCheckpointStride rows or probes. Pooled, contiguous chunks emit
+// into private vectors that are concatenated in chunk order and moved into
+// the result, so the insert sequence — hence content, order and counts —
+// is the serial one whatever the scheduling; each chunk polls once before
+// it starts, and once the token trips the rest become no-ops (the whole
+// result is discarded).
+template <typename ProbeRow>
+MappingSet ProbeRows(const MappingSet& rows, ThreadPool* pool,
+                     ProbeRow&& probe_row) {
+  const std::vector<Mapping>& rs = rows.mappings();
+  MappingSet out;
+  uint64_t probes = 0;
+  if (UseParallel(pool, rs.size())) {
+    size_t chunks = NumChunks(rs.size(), pool->num_threads());
+    std::vector<std::vector<Mapping>> results(chunks);
+    std::vector<uint64_t> chunk_probes(chunks, 0);
+    pool->ParallelFor(chunks, [&](size_t c) {
+      if (!CooperativeCheckpoint()) return;
+      std::vector<Mapping>& local = results[c];
+      auto emit = [&local](auto&& m) {
+        local.push_back(std::forward<decltype(m)>(m));
+      };
+      uint64_t local_probes = 0;
+      size_t hi = rs.size() * (c + 1) / chunks;
+      for (size_t i = rs.size() * c / chunks; i < hi; ++i) {
+        local_probes += probe_row(rs[i], emit);
+      }
+      chunk_probes[c] = local_probes;
+    });
+    size_t total = 0;
+    for (const std::vector<Mapping>& local : results) total += local.size();
+    out.Reserve(total);
+    for (size_t c = 0; c < chunks; ++c) {
+      probes += chunk_probes[c];
+      for (Mapping& m : results[c]) out.Add(std::move(m));
+    }
+  } else {
+    auto emit = [&out](auto&& m) { out.Add(std::forward<decltype(m)>(m)); };
+    uint64_t work = 0;
+    uint64_t next_poll = kCheckpointStride;
+    for (const Mapping& row : rs) {
+      if (++work >= next_poll) {
+        if (!CooperativeCheckpoint()) break;
+        next_poll = work + kCheckpointStride;
+      }
+      uint64_t row_probes = probe_row(row, emit);
+      probes += row_probes;
+      work += row_probes;
+    }
+  }
+  if (OpCounters* oc = ScopedOpCounters::Current()) oc->join_probes += probes;
+  return out;
+}
+
+// ∖ and ⟕: runs `probe_row(row, candidates, emit)` for every row of
+// non-empty `a` through ProbeRows, where `candidates` is a KeyTable on
+// non-empty `b` over the shared certain variables, or every row of `b` when
+// there are none.
+//
+// A pairwise scan that `emits_unions` (⟕'s) can emit |a|·|b| rows, so it
+// runs serially, as Join's JoinNestedLoop fallback does: pooled chunks
+// buffer their rows where the accountant cannot see them, and a mapping or
+// byte cap would only trip once the whole cross product existed. ∖ emits
+// at most |a| rows, so its scan stays pooled.
+template <typename ProbeRow>
+MappingSet ProbeAgainst(const MappingSet& a, const MappingSet& b,
+                        ThreadPool* pool, bool emits_unions,
+                        ProbeRow&& probe_row) {
+  auto run = [&](const auto& candidates, ThreadPool* run_pool) {
+    return ProbeRows(a, run_pool, [&](const Mapping& row, auto& emit) {
+      return probe_row(row, candidates, emit);
+    });
+  };
+  std::vector<VarId> shared = SharedCertainVars(a, b);
+  if (shared.empty()) return run(AllRows{b}, emits_unions ? nullptr : pool);
+  return run(KeyTable(b, std::move(shared)), pool);
+}
+
+// Index slots hold (hash << 32) | (position + 1); 0 marks an empty slot.
+constexpr uint64_t kEmptySlot = 0;
+
+uint32_t IndexHash(const Mapping& m) { return static_cast<uint32_t>(m.Hash()); }
+
+// The index is kept at most 3/4 full, so linear probes stay short and
+// every probe sequence ends at an empty slot.
+bool IndexFits(size_t n, size_t capacity) { return n * 4 <= capacity * 3; }
+
+size_t IndexCapacityFor(size_t n) {
+  size_t capacity = 16;
+  while (!IndexFits(n, capacity)) capacity *= 2;
+  return capacity;
 }
 
 }  // namespace
 
 MappingSet MappingSet::FromList(const std::vector<Mapping>& mappings) {
   MappingSet out;
+  out.Reserve(mappings.size());
   for (const Mapping& m : mappings) out.Add(m);
   return out;
 }
 
-bool MappingSet::Add(const Mapping& m) {
-  if (!set_.insert(m).second) return false;
-  items_.push_back(m);
-  AccountAdd(m.ApproxBytes());
+size_t MappingSet::FindSlot(const Mapping& m, uint32_t hash) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    uint64_t entry = index_[slot];
+    if (entry == kEmptySlot) return slot;
+    if (static_cast<uint32_t>(entry >> 32) == hash &&
+        items_[static_cast<uint32_t>(entry) - 1] == m) {
+      return slot;
+    }
+  }
+}
+
+void MappingSet::Rehash(size_t n) {
+  size_t capacity = IndexCapacityFor(n);
+  // Positions are stored in 32 bits, and placement uses the 32-bit hash.
+  RDFQL_CHECK_MSG(capacity <= (size_t{1} << 32), "mapping set too large");
+  std::vector<uint64_t> old = std::move(index_);
+  index_.assign(capacity, kEmptySlot);
+  const size_t mask = capacity - 1;
+  for (uint64_t entry : old) {
+    if (entry == kEmptySlot) continue;
+    size_t slot = (entry >> 32) & mask;
+    while (index_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    index_[slot] = entry;
+  }
+}
+
+void MappingSet::Reserve(size_t n) {
+  items_.reserve(n);
+  if (!IndexFits(n, index_.size())) Rehash(n);
+}
+
+template <typename M>
+bool MappingSet::Insert(M&& m) {
+  if (!IndexFits(items_.size() + 1, index_.size())) Rehash(items_.size() + 1);
+  uint32_t hash = IndexHash(m);
+  size_t slot = FindSlot(m, hash);
+  if (index_[slot] != kEmptySlot) return false;
+  items_.push_back(std::forward<M>(m));
+  index_[slot] = (static_cast<uint64_t>(hash) << 32) | items_.size();
+  AccountAdd(items_.back().ApproxBytes());
   return true;
 }
 
+bool MappingSet::Add(const Mapping& m) { return Insert(m); }
+
+bool MappingSet::Add(Mapping&& m) { return Insert(std::move(m)); }
+
+bool MappingSet::Contains(const Mapping& m) const {
+  if (index_.empty()) return false;
+  return index_[FindSlot(m, IndexHash(m))] != kEmptySlot;
+}
+
 MappingSet::MappingSet(const MappingSet& other)
-    : items_(other.items_), set_(other.set_) {
+    : items_(other.items_), index_(other.index_) {
   // A copy is a fresh allocation: charge it in full to whichever
   // accountant is installed *now* (e.g. UnionSets copying its left input
   // inside an accounted evaluation).
@@ -94,7 +330,7 @@ MappingSet& MappingSet::operator=(const MappingSet& other) {
   if (this == &other) return *this;
   DetachAccounting();
   items_ = other.items_;
-  set_ = other.set_;
+  index_ = other.index_;
   if (ResourceAccountant::Current() != nullptr) {
     for (const Mapping& m : items_) AccountAdd(m.ApproxBytes());
   }
@@ -103,13 +339,13 @@ MappingSet& MappingSet::operator=(const MappingSet& other) {
 
 MappingSet::MappingSet(MappingSet&& other) noexcept
     : items_(std::move(other.items_)),
-      set_(std::move(other.set_)),
+      index_(std::move(other.index_)),
       acct_(other.acct_),
       acct_epoch_(other.acct_epoch_),
       acct_mappings_(other.acct_mappings_),
       acct_bytes_(other.acct_bytes_) {
   other.items_.clear();
-  other.set_.clear();
+  other.index_.clear();
   other.acct_ = nullptr;
   other.acct_mappings_ = 0;
   other.acct_bytes_ = 0;
@@ -119,13 +355,13 @@ MappingSet& MappingSet::operator=(MappingSet&& other) noexcept {
   if (this == &other) return *this;
   DetachAccounting();
   items_ = std::move(other.items_);
-  set_ = std::move(other.set_);
+  index_ = std::move(other.index_);
   acct_ = other.acct_;
   acct_epoch_ = other.acct_epoch_;
   acct_mappings_ = other.acct_mappings_;
   acct_bytes_ = other.acct_bytes_;
   other.items_.clear();
-  other.set_.clear();
+  other.index_.clear();
   other.acct_ = nullptr;
   other.acct_mappings_ = 0;
   other.acct_bytes_ = 0;
@@ -143,83 +379,21 @@ void MappingSet::DetachAccounting() {
 
 MappingSet MappingSet::Join(const MappingSet& a, const MappingSet& b,
                             ThreadPool* pool) {
-  MappingSet out;
-  if (a.empty() || b.empty()) return out;
-
-  // Partition on variables certainly bound on both sides; mappings inside a
-  // bucket still get the full compatibility check for the remaining
-  // (optional) variables.
-  std::vector<VarId> ca = CertainVars(a);
-  std::vector<VarId> cb = CertainVars(b);
-  std::vector<VarId> shared;
-  std::set_intersection(ca.begin(), ca.end(), cb.begin(), cb.end(),
-                        std::back_inserter(shared));
-
+  if (a.empty() || b.empty()) return MappingSet();
+  std::vector<VarId> shared = SharedCertainVars(a, b);
   if (shared.empty()) return JoinNestedLoop(a, b);
-
-  const MappingSet& build = a.size() <= b.size() ? a : b;
-  const MappingSet& probe = a.size() <= b.size() ? b : a;
-
-  std::unordered_map<uint64_t, std::vector<const Mapping*>> table;
-  for (const Mapping& m : build) {
-    table[KeyHash(m, shared)].push_back(&m);
-  }
-
-  if (UseParallel(pool, probe.size())) {
-    // Each chunk probes the shared (read-only) table into its own output
-    // vector; chunks concatenate in index order, so the candidate stream —
-    // and therefore the deduplicated result — matches the serial loop.
-    const std::vector<Mapping>& ps = probe.mappings();
-    size_t chunks = NumChunks(ps.size(), pool->num_threads());
-    std::vector<std::vector<Mapping>> results(chunks);
-    std::vector<uint64_t> probe_counts(chunks, 0);
-    pool->ParallelFor(chunks, [&](size_t c) {
-      // Per-chunk cooperative checkpoint: once the query's token trips,
-      // remaining chunks become no-ops (the whole result is discarded).
-      if (!CooperativeCheckpoint()) return;
-      size_t lo = ps.size() * c / chunks;
-      size_t hi = ps.size() * (c + 1) / chunks;
-      uint64_t local_probes = 0;
-      std::vector<Mapping>& local = results[c];
-      for (size_t i = lo; i < hi; ++i) {
-        auto it = table.find(KeyHash(ps[i], shared));
-        if (it == table.end()) continue;
-        for (const Mapping* other : it->second) {
-          ++local_probes;
-          if (ps[i].CompatibleWith(*other)) {
-            local.push_back(ps[i].UnionWith(*other));
-          }
-        }
-      }
-      probe_counts[c] = local_probes;
-    });
-    uint64_t probes = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-      probes += probe_counts[c];
-      for (const Mapping& m : results[c]) out.Add(m);
-    }
-    if (OpCounters* oc = ScopedOpCounters::Current()) {
-      oc->join_probes += probes;
-    }
-    return out;
-  }
-
-  uint64_t probes = 0;
-  uint64_t visited = 0;
-  for (const Mapping& m : probe) {
-    if ((++visited & (kCheckpointStride - 1)) == 0 &&
-        !CooperativeCheckpoint()) {
-      break;
-    }
-    auto it = table.find(KeyHash(m, shared));
-    if (it == table.end()) continue;
-    for (const Mapping* other : it->second) {
-      ++probes;
-      if (m.CompatibleWith(*other)) out.Add(m.UnionWith(*other));
-    }
-  }
-  if (OpCounters* oc = ScopedOpCounters::Current()) oc->join_probes += probes;
-  return out;
+  const bool a_builds = a.size() <= b.size();
+  KeyTable table(a_builds ? a : b, std::move(shared));
+  return ProbeRows(a_builds ? b : a, pool,
+                   [&table](const Mapping& row, auto& emit) {
+                     return table.ForEachCandidate(
+                         row, [&](const Mapping& other) {
+                           if (row.CompatibleWith(other)) {
+                             emit(row.UnionWith(other));
+                           }
+                           return true;
+                         });
+                   });
 }
 
 MappingSet MappingSet::JoinNestedLoop(const MappingSet& a,
@@ -255,67 +429,39 @@ MappingSet MappingSet::UnionSets(const MappingSet& a, const MappingSet& b) {
 
 MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b,
                              ThreadPool* pool) {
-  MappingSet out;
-  if (UseParallel(pool, a.size())) {
-    // Each left mapping's verdict is independent; chunk survivors keep
-    // their relative order and concatenate in chunk order, reproducing the
-    // serial output exactly (including the early-exit probe counts).
-    const std::vector<Mapping>& as = a.mappings();
-    size_t chunks = NumChunks(as.size(), pool->num_threads());
-    std::vector<std::vector<const Mapping*>> kept(chunks);
-    std::vector<uint64_t> pair_counts(chunks, 0);
-    pool->ParallelFor(chunks, [&](size_t c) {
-      if (!CooperativeCheckpoint()) return;
-      size_t lo = as.size() * c / chunks;
-      size_t hi = as.size() * (c + 1) / chunks;
-      uint64_t local_pairs = 0;
-      for (size_t i = lo; i < hi; ++i) {
-        bool incompatible_with_all = true;
-        for (const Mapping& m2 : b) {
-          ++local_pairs;
-          if (as[i].CompatibleWith(m2)) {
-            incompatible_with_all = false;
-            break;
-          }
-        }
-        if (incompatible_with_all) kept[c].push_back(&as[i]);
-      }
-      pair_counts[c] = local_pairs;
-    });
-    uint64_t pairs = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-      pairs += pair_counts[c];
-      for (const Mapping* m : kept[c]) out.Add(*m);
-    }
-    if (OpCounters* oc = ScopedOpCounters::Current()) {
-      oc->join_probes += pairs;
-    }
-    return out;
-  }
-  uint64_t pairs = 0;
-  uint64_t visited = 0;
-  for (const Mapping& m1 : a) {
-    if ((++visited & (kCheckpointStride - 1)) == 0 &&
-        !CooperativeCheckpoint()) {
-      break;
-    }
-    bool incompatible_with_all = true;
-    for (const Mapping& m2 : b) {
-      ++pairs;
-      if (m1.CompatibleWith(m2)) {
-        incompatible_with_all = false;
-        break;
-      }
-    }
-    if (incompatible_with_all) out.Add(m1);
-  }
-  if (OpCounters* oc = ScopedOpCounters::Current()) oc->join_probes += pairs;
-  return out;
+  if (a.empty() || b.empty()) return a;
+  return ProbeAgainst(
+      a, b, pool, /*emits_unions=*/false,
+      [](const Mapping& row, const auto& candidates, auto& emit) {
+        bool matched = false;
+        uint64_t probes =
+            candidates.ForEachCandidate(row, [&](const Mapping& other) {
+              matched = row.CompatibleWith(other);
+              return !matched;
+            });
+        if (!matched) emit(row);
+        return probes;
+      });
 }
 
 MappingSet MappingSet::LeftOuterJoin(const MappingSet& a, const MappingSet& b,
                                      ThreadPool* pool) {
-  return UnionSets(Join(a, b, pool), Minus(a, b, pool));
+  if (a.empty() || b.empty()) return a;
+  return ProbeAgainst(
+      a, b, pool, /*emits_unions=*/true,
+      [](const Mapping& row, const auto& candidates, auto& emit) {
+        bool matched = false;
+        uint64_t probes =
+            candidates.ForEachCandidate(row, [&](const Mapping& other) {
+              if (row.CompatibleWith(other)) {
+                emit(row.UnionWith(other));
+                matched = true;
+              }
+              return true;
+            });
+        if (!matched) emit(row);
+        return probes;
+      });
 }
 
 bool MappingSet::Subsumed(const MappingSet& a, const MappingSet& b) {

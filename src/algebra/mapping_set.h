@@ -1,8 +1,8 @@
 #ifndef RDFQL_ALGEBRA_MAPPING_SET_H_
 #define RDFQL_ALGEBRA_MAPPING_SET_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/mapping.h"
@@ -18,6 +18,25 @@ class ThreadPool;
 /// results print stably. Implements the four algebra operators of
 /// Section 2.1 — join ⋈, union ∪, difference ∖ and left-outer join ⟕ —
 /// and the subsumption preorder Ω1 ⊑ Ω2 of Section 3.1.
+///
+/// Each mapping is stored once, in insertion order; deduplication goes
+/// through an open-addressing index of positions into that list.
+///
+/// The binary operators partition on the variables bound in *every*
+/// mapping of both inputs (the shared certain variables). Compatible
+/// mappings agree on every shared variable, so two mappings in different
+/// partitions are never compatible and the partition is exact; within a
+/// partition the full compatibility check still runs, so heterogeneous
+/// domains are handled. Inputs that share no certain variable fall back to
+/// the pairwise scan.
+///
+/// With a non-null `pool` the probe side of ⋈, ∖ and ⟕ is split into
+/// contiguous chunks evaluated across the pool's threads; chunk outputs are
+/// concatenated in chunk order before the deduplicating insert, so the
+/// result — content *and* iteration order — and the probe counts are
+/// bit-for-bit the serial ones regardless of scheduling. A null pool (the
+/// default) is the serial path. The pairwise scans of ⋈ and ⟕ stay serial
+/// with a pool, so memory caps see a cross product's rows as they appear.
 class MappingSet {
  public:
   MappingSet() = default;
@@ -36,8 +55,14 @@ class MappingSet {
 
   /// Adds µ; returns true if it was new.
   bool Add(const Mapping& m);
+  /// Adds µ by moving it in (left untouched if it is a duplicate).
+  bool Add(Mapping&& m);
 
-  bool Contains(const Mapping& m) const { return set_.count(m) > 0; }
+  bool Contains(const Mapping& m) const;
+
+  /// Makes room for `n` mappings, so that many inserts neither move the
+  /// stored mappings nor rebuild the index.
+  void Reserve(size_t n);
 
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
@@ -47,17 +72,9 @@ class MappingSet {
   auto begin() const { return items_.begin(); }
   auto end() const { return items_.end(); }
 
-  /// Ω1 ⋈ Ω2 = { µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ∼ µ2 }.
-  ///
-  /// Uses a hash partition on the variables that are bound in *every*
-  /// mapping of each side (the certain variables); falls back to pairwise
-  /// checks within buckets, so it is correct for heterogeneous domains.
-  ///
-  /// With a non-null `pool` the probe side is split into contiguous chunks
-  /// evaluated across the pool's threads; chunk outputs are concatenated in
-  /// chunk order before the deduplicating insert, so the result — content
-  /// *and* iteration order — is bit-for-bit the serial result regardless of
-  /// scheduling. A null pool (the default) is the unchanged serial path.
+  /// Ω1 ⋈ Ω2 = { µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ∼ µ2 }. Builds a table
+  /// on the smaller side and probes it with the larger one; counts one
+  /// join probe per bucket candidate.
   static MappingSet Join(const MappingSet& a, const MappingSet& b,
                          ThreadPool* pool = nullptr);
 
@@ -67,12 +84,18 @@ class MappingSet {
   /// Ω1 ∪ Ω2.
   static MappingSet UnionSets(const MappingSet& a, const MappingSet& b);
 
-  /// Ω1 ∖ Ω2 = { µ ∈ Ω1 | ∀ µ' ∈ Ω2 : µ ≁ µ' }. Same parallel contract as
-  /// Join: Ω1 is chunked, per-chunk survivors concatenate in chunk order.
+  /// Ω1 ∖ Ω2 = { µ ∈ Ω1 | ∀ µ' ∈ Ω2 : µ ≁ µ' }: a hash anti-join of Ω1
+  /// against a table on Ω2. Survivors keep Ω1's order; each Ω1 row counts
+  /// the bucket candidates it examined, up to its first compatible one.
   static MappingSet Minus(const MappingSet& a, const MappingSet& b,
                           ThreadPool* pool = nullptr);
 
-  /// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2).
+  /// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), in one probe pass over Ω1 against a
+  /// table on Ω2: each Ω1 row emits its unions with its compatible
+  /// partners, or itself when it has none. Output is left-major (Ω1's
+  /// order, partners in Ω2's order within a row); each Ω1 row counts the
+  /// bucket candidates it examined, and a row with an empty bucket counts
+  /// none.
   static MappingSet LeftOuterJoin(const MappingSet& a, const MappingSet& b,
                                   ThreadPool* pool = nullptr);
 
@@ -119,8 +142,25 @@ class MappingSet {
     acct_bytes_ += bytes;
   }
 
+  /// The index slot holding a mapping equal to `m` (whose index hash is
+  /// `hash`), or else the empty slot where `m` would go. Requires a
+  /// non-empty index with at least one empty slot.
+  size_t FindSlot(const Mapping& m, uint32_t hash) const;
+  /// Both Add overloads: stores `m` unless an equal mapping is already
+  /// stored, and returns whether it did; a rejected rvalue is untouched.
+  template <typename M>
+  bool Insert(M&& m);
+  /// Rebuilds the index with room for `n` mappings at the load bound.
+  void Rehash(size_t n);
+
+  /// The mappings, each stored once, in insertion order.
   std::vector<Mapping> items_;
-  std::unordered_set<Mapping, MappingHash> set_;
+  /// Open-addressing (linear probing) dedup index over `items_`, sized to a
+  /// power of two. A slot is 0 when empty, else (hash << 32) | (position +
+  /// 1), where hash is the low 32 bits of Mapping::Hash: comparing it
+  /// filters almost every non-equal mapping before the binding compare, and
+  /// growing the index never rehashes a mapping.
+  std::vector<uint64_t> index_;
 
   ResourceAccountant* acct_ = nullptr;
   uint64_t acct_epoch_ = 0;

@@ -178,9 +178,9 @@ MappingSet Evaluator::EvalUnionSpine(const Pattern& p) const {
   // Folding left to right with the deduplicating Add reproduces exactly
   // what the recursive UnionSets nest would: first occurrence wins, in
   // disjunct order.
-  MappingSet out;
-  for (const MappingSet& part : parts) {
-    for (const Mapping& m : part) out.Add(m);
+  MappingSet out = std::move(parts[0]);
+  for (size_t i = 1; i < parts.size(); ++i) {
+    for (const Mapping& m : parts[i]) out.Add(m);
   }
   return out;
 }
@@ -219,7 +219,7 @@ MappingSet Evaluator::IndexJoinWithTriple(const MappingSet& left,
           bind(t.s, match.s);
           bind(t.p, match.p);
           bind(t.o, match.o);
-          if (ok) out.Add(extended);
+          if (ok) out.Add(std::move(extended));
         });
   }
   if (OpCounters* oc = ScopedOpCounters::Current()) {
@@ -251,7 +251,7 @@ MappingSet Evaluator::EvalTriple(const TriplePattern& t) const {
     bind(t.s, match.s);
     bind(t.p, match.p);
     bind(t.o, match.o);
-    if (ok) out.Add(m);
+    if (ok) out.Add(std::move(m));
   });
   if (OpCounters* oc = ScopedOpCounters::Current()) ++oc->index_probes;
   return out;
@@ -356,9 +356,8 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       return MappingSet::UnionSets(l, r);
     }
     case PatternKind::kOpt: {
-      // The difference half of ⟕ = ⋈ ∪ ∖ needs ⟦P2⟧G materialized whatever
-      // the join strategy, so the index-join shortcut never pays here (see
-      // the note on EvalOptions::Join::kIndexNestedLoop in evaluator.h).
+      // ⟦P2⟧G is materialized whatever the join strategy (see the note on
+      // EvalOptions::Join::kIndexNestedLoop in evaluator.h).
       MappingSet l, r;
       if (ParallelSubtrees()) {
         EvalBranches(*p.left(), *p.right(), &l, &r);
@@ -366,15 +365,15 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
         l = EvalNode(*p.left());
         r = EvalNode(*p.right());
       }
-      MappingSet joined;
       if (options_.join == EvalOptions::Join::kNestedLoop) {
+        // The reference strategy keeps the definition ⟕ = ⋈ ∪ ∖, with the
+        // pairwise join as its join half.
         ProfileFrame join_frame(profiled_ ? "JoinNested" : nullptr);
-        joined = MappingSet::JoinNestedLoop(l, r);
-      } else {
-        ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
-        joined = MappingSet::Join(l, r, pool_);
+        return MappingSet::UnionSets(MappingSet::JoinNestedLoop(l, r),
+                                     MappingSet::Minus(l, r, pool_));
       }
-      return MappingSet::UnionSets(joined, MappingSet::Minus(l, r, pool_));
+      ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
+      return MappingSet::LeftOuterJoin(l, r, pool_);
     }
     case PatternKind::kMinus: {
       MappingSet l, r;

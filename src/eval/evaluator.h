@@ -39,13 +39,17 @@ struct EvalOptions {
     // propagation), instead of materializing ⟦t⟧G and joining. Falls back
     // to the hash join for non-triple right-hand sides.
     //
-    // Note on OPT: the index-join shortcut is deliberately NOT taken for
-    // the join half of (P1 OPT P2) even when P2 is a triple pattern. OPT
-    // is computed as (P1 ⋈ P2) ∪ (P1 ∖ P2) and the difference half needs
-    // ⟦P2⟧G materialized regardless, so probing the index for the join
-    // half would evaluate P2's matches a second time — strictly more work
-    // for identical results. evaluator_test.cc (OptAgreesAcrossJoin
-    // Strategies) asserts the strategies agree on OPT patterns.
+    // Note on OPT: the index-join shortcut is NOT taken for (P1 OPT P2),
+    // even when P2 is a triple pattern. OPT runs the same kernel as under
+    // kHash, MappingSet::LeftOuterJoin: one table on ⟦P2⟧G, then one
+    // probe pass over ⟦P1⟧G in which a row with no compatible partner
+    // passes through as it is. An index-probing ⟕ (a left row whose probe
+    // finds no match passes through) would also be correct, but is not
+    // implemented. kNestedLoop instead evaluates the definition
+    // (P1 ⋈ P2) ∪ (P1 ∖ P2) with JoinNestedLoop as its join half, so it
+    // inserts joined rows before surviving ones. evaluator_test.cc
+    // (OptAgreesAcrossJoinStrategies) asserts the strategies agree on OPT
+    // patterns.
     kIndexNestedLoop,
   };
   enum class NsAlgo { kBucketed, kNaive };

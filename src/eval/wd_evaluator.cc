@@ -39,7 +39,7 @@ MappingSet ExtendByTriple(const Graph& graph, const MappingSet& seeds,
                   bind(t.s, match.s);
                   bind(t.p, match.p);
                   bind(t.o, match.o);
-                  if (ok) out.Add(extended);
+                  if (ok) out.Add(std::move(extended));
                 });
   }
   if (OpCounters* oc = ScopedOpCounters::Current()) {

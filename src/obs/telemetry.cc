@@ -334,6 +334,14 @@ TelemetrySampler::TelemetrySampler(MetricsRegistry* metrics,
     : metrics_(metrics), inflight_(inflight), options_(std::move(options)) {
   prev_steady_ns_ = SteadyNowNs();
   if (options_.window_count == 0) options_.window_count = 1;
+  // The history's first record is only a baseline. Take it at start, so
+  // work done before the first tick shows up in that tick's delta, where
+  // alert rules can see it, instead of vanishing into the baseline.
+  if (options_.history != nullptr) {
+    options_.history->Record(
+        metrics_ != nullptr ? metrics_->Snapshot() : RegistrySnapshot(),
+        UnixNowMs());
+  }
   if (options_.interval_ms > 0) {
     thread_ = std::thread([this] { Loop(); });
   }

@@ -116,7 +116,7 @@ class ScopedSpan {
 /// no sink is installed — the uninstrumented hot path — the kernels pay
 /// one thread-local pointer test per call, nothing per element.
 struct OpCounters {
-  uint64_t join_probes = 0;        // candidate pairs tested for ⋈ / ∖
+  uint64_t join_probes = 0;        // candidate pairs tested for ⋈ / ∖ / ⟕
   uint64_t index_probes = 0;       // graph-index Match calls with bindings
   uint64_t ns_pairs_compared = 0;  // subsumption tests / projection probes
   uint64_t filter_evals = 0;       // FILTER condition evaluations

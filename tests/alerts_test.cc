@@ -575,6 +575,28 @@ TEST(AlertEngineIntegrationTest, TicksEvaluateRulesAndExportCounters) {
   engine.StopTelemetry();
 }
 
+TEST(AlertEngineIntegrationTest, QueryBeforeFirstTickReachesTheWindow) {
+  // The sampler takes the history's baseline when it starts, so a query
+  // that finishes before the first tick is that tick's delta, not part of
+  // the baseline.
+  Engine engine;
+  LoadTinyGraph(&engine);
+  ASSERT_TRUE(engine
+                  .SetAlertRules(
+                      R"({"version":1,"rules":[{"name":"any-query",
+                          "agg":"delta","metric":"engine.queries","op":">",
+                          "threshold":0,"windows":["10s"]}]})")
+                  .ok());
+  TelemetryOptions options;
+  options.interval_ms = 0;
+  ASSERT_TRUE(engine.StartTelemetry(options).ok());
+  ASSERT_TRUE(engine.Query("g", "(?x p ?y)").ok());
+  engine.telemetry()->TickNow();
+  ASSERT_EQ(engine.AlertSnapshot().rules.size(), 1u);
+  EXPECT_EQ(engine.AlertSnapshot().rules[0].state, "firing");
+  engine.StopTelemetry();
+}
+
 TEST(AlertEngineIntegrationTest, FragmentRulesKeyPerFragmentHistograms) {
   Engine engine;
   LoadTinyGraph(&engine);

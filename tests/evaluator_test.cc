@@ -171,10 +171,11 @@ TEST_F(EvaluatorTest, IndexNestedLoopHandlesRepeatedVars) {
 }
 
 TEST_F(EvaluatorTest, OptAgreesAcrossJoinStrategies) {
-  // Promised by the kIndexNestedLoop note in evaluator.h: OPT deliberately
-  // skips the index-join shortcut (the difference half needs ⟦P2⟧G
-  // materialized anyway), so all three strategies must agree on OPT-heavy
-  // patterns — both where the optional side matches and where it dangles.
+  // Promised by the kIndexNestedLoop note in evaluator.h: OPT skips the
+  // index-join shortcut and runs the one-pass ⟕ kernel on a materialized
+  // ⟦P2⟧G, as under kHash, while kNestedLoop keeps (P1 ⋈ P2) ∪ (P1 ∖ P2).
+  // All three strategies must agree on OPT-heavy patterns — both where the
+  // optional side matches and where it dangles.
   Graph g = Load("a p b .\nc p d .\nb q e .\ne r f .");
   const char* queries[] = {
       "(?x p ?y) OPT (?y q ?z)",

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/engine.h"
+#include "obs/metrics.h"
 
 namespace rdfql {
 namespace {
@@ -20,6 +21,8 @@ std::string EdgeGraph(int n) {
 }
 
 constexpr char kBlowupQuery[] = "(?a p ?b) AND (?c p ?d)";
+// The same cross product built by ⟕: the sides share no variable.
+constexpr char kOptBlowupQuery[] = "(?a p ?b) OPT (?c p ?d)";
 
 TEST(DeadlineTest, InfiniteByDefault) {
   Deadline d;
@@ -70,14 +73,41 @@ TEST(CancellationTokenTest, CooperativeCheckpointIsTrueWhenUninstalled) {
 TEST(LimitsTest, MemoryCapTripsAcrossThreadCounts) {
   Engine engine;
   ASSERT_TRUE(engine.LoadGraphText("g", EdgeGraph(200)).ok());
+  // The OPT form blows up inside the ⟕ kernel's pairwise path instead.
+  for (const char* query : {kBlowupQuery, kOptBlowupQuery}) {
+    for (int threads : {1, 2, 8}) {
+      EvalOptions options;
+      options.threads = threads;
+      options.limits.max_live_mappings = 1000;
+      Result<MappingSet> r = engine.Query("g", query, options);
+      ASSERT_FALSE(r.ok()) << query << " threads=" << threads;
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+          << query << " threads=" << threads << ": "
+          << r.status().ToString();
+    }
+  }
+}
+
+// A capped cross product stops soon after the cap instead of being built
+// in full and rejected afterwards: ⟕'s pairwise scan charges each row as it
+// emits it at every thread count, so the probes it runs before the trip
+// stay far below the 200 × 200 pairs.
+TEST(LimitsTest, OptCrossProductStopsNearTheCap) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", EdgeGraph(200)).ok());
   for (int threads : {1, 2, 8}) {
+    MetricsRegistry metrics;
     EvalOptions options;
     options.threads = threads;
+    options.metrics = &metrics;
     options.limits.max_live_mappings = 1000;
-    Result<MappingSet> r = engine.Query("g", kBlowupQuery, options);
+    Result<MappingSet> r = engine.Query("g", kOptBlowupQuery, options);
     ASSERT_FALSE(r.ok()) << "threads=" << threads;
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << "threads=" << threads << ": " << r.status().ToString();
+    EXPECT_LT(metrics.GetCounter("eval.join_probes")->Value(),
+              200u * 200u / 10)
+        << "threads=" << threads;
   }
 }
 
