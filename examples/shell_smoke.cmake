@@ -1,6 +1,11 @@
 # Scripted-stdin smoke test for rdfql_shell: malformed commands, a deeply
 # nested pattern and an unknown command must each print an error while the
 # REPL stays alive — the session still answers the final query and exits 0.
+# Then `json`, `csv` and `ask` run one pattern twice, a cold result-cache
+# miss and a warm hit that serialize the cached answer in place, and once
+# more after an insert replaces that answer's cache slot; every byte they
+# print is checked (under ASan in CI, this covers the shared answer's
+# lifetime).
 #
 # Run as: cmake -DSHELL=<path to rdfql_shell> -DOUT_DIR=<scratch dir>
 #               -P shell_smoke.cmake
@@ -21,6 +26,14 @@ set(lines
   "query g ${OPEN}(?x was_born_in ?c)${CLOSE}"
   "query nosuchgraph (?x was_born_in ?c)"
   "query g (?x was_born_in ?c)"
+  "json g (?x was_born_in Chile)"
+  "csv g (?x was_born_in Chile)"
+  "ask g (?x was_born_in Chile)"
+  "json g (?x was_born_in Chile)"
+  "csv g (?x was_born_in Chile)"
+  "ask g (?x was_born_in Chile)"
+  "triple g Pedro was_born_in Chile"
+  "json g (?x was_born_in Chile)"
   "quit")
 string(JOIN "\n" script ${lines})
 file(WRITE "${OUT_DIR}/shell_smoke_input.txt" "${script}\n")
@@ -51,4 +64,17 @@ endif()
 # The REPL must still answer the final query after all of the above.
 if(NOT out MATCHES "Juan")
   message(FATAL_ERROR "expected results from the final query\n${out}")
+endif()
+
+set(json_before
+    "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[{\"x\":{\"type\":\"iri\",\"value\":\"Juan\"}},{\"x\":{\"type\":\"iri\",\"value\":\"Ana\"}}]}}")
+set(json_after
+    "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[{\"x\":{\"type\":\"iri\",\"value\":\"Juan\"}},{\"x\":{\"type\":\"iri\",\"value\":\"Ana\"}},{\"x\":{\"type\":\"iri\",\"value\":\"Pedro\"}}]}}")
+set(answers "${json_before}\nx\nJuan\nAna\nyes\n")
+set(expected "${answers}${answers}ok\n${json_after}\n")
+string(FIND "${out}" "${expected}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR
+          "expected the json/csv/ask answers, exactly:\n${expected}\n"
+          "got:\n${out}")
 endif()

@@ -277,16 +277,39 @@ Result<PatternPtr> Engine::ParseCached(CacheContext* cc,
 void Engine::CacheStoreResult(const CacheContext& cc,
                               const std::string& graph_name,
                               const EvalOptions& options,
-                              const MappingSet& result) {
-  if (!cc.result_on || !cc.epoch_known || cc.result_hit) return;
+                              std::shared_ptr<const MappingSet> result) {
   ResultCacheKey key{cc.hash, graph_name, cc.graph_epoch,
                      EvalOptionsFingerprint(options)};
-  cc.cache->PutResult(key, cc.canonical, result);
+  cc.cache->PutResult(key, cc.canonical, std::move(result));
+}
+
+Engine::Answer Engine::AnswerFrom(const CacheContext& cc,
+                                  const std::string& graph_name,
+                                  const EvalOptions& options,
+                                  MappingSet result) {
+  Answer answer;
+  if (!cc.StoresResult()) {
+    answer.owned = std::move(result);
+    return answer;
+  }
+  answer.shared = std::make_shared<const MappingSet>(std::move(result));
+  CacheStoreResult(cc, graph_name, options, answer.shared);
+  return answer;
 }
 
 Result<MappingSet> Engine::Query(const std::string& graph_name,
                                  std::string_view query,
                                  EvalOptions options) {
+  RDFQL_ASSIGN_OR_RETURN(Answer answer,
+                         QueryAnswer(graph_name, query, std::move(options)));
+  // A shared answer stays the cache's; the caller gets the one copy.
+  if (answer.shared != nullptr) return MappingSet(*answer.shared);
+  return std::move(answer.owned);
+}
+
+Result<Engine::Answer> Engine::QueryAnswer(const std::string& graph_name,
+                                           std::string_view query,
+                                           EvalOptions options) {
   QueryLog* log =
       options.query_log != nullptr ? options.query_log : default_query_log_;
   if (log != nullptr) {
@@ -308,8 +331,8 @@ Result<MappingSet> Engine::Query(const std::string& graph_name,
             CacheResultLookup(&cc, graph_name, options)) {
       if (collect_metrics_) {
         metrics_.GetCounter("engine.queries")->Inc();
-        // The lookup+copy *is* this query's evaluation; observing it keeps
-        // the latency histogram honest about what callers experienced.
+        // The lookup *is* this query's evaluation; observing it keeps the
+        // latency histogram honest about what callers experienced.
         uint64_t hit_ns = NowNs() - t0;
         metrics_.GetHistogram("engine.eval_ns")->Observe(hit_ns);
         if (alerts_ != nullptr && alerts_->wants_fragments()) {
@@ -320,35 +343,27 @@ Result<MappingSet> Engine::Query(const std::string& graph_name,
           }
         }
       }
-      return MappingSet(*hit);
+      return Answer{std::move(hit), MappingSet()};
     }
   }
-  if (!collect_metrics_) {
-    PatternPtr pattern;
-    {
-      ProfileFrame parse_frame("Parse");
-      RDFQL_ASSIGN_OR_RETURN(pattern, ParseCached(&cc, query, nullptr));
-    }
-    Result<MappingSet> result = Eval(graph_name, pattern, options);
-    if (result.ok()) CacheStoreResult(cc, graph_name, options, result.value());
-    return result;
-  }
-  metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
+  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
+  uint64_t t0 = collect_metrics_ ? NowNs() : 0;
   PatternPtr pattern;
   {
     ProfileFrame parse_frame("Parse");
     RDFQL_ASSIGN_OR_RETURN(pattern, ParseCached(&cc, query, nullptr));
   }
-  metrics_.GetHistogram("engine.parse_ns")->Observe(NowNs() - t0);
-  Result<MappingSet> result = Eval(graph_name, pattern, options);
-  if (result.ok()) CacheStoreResult(cc, graph_name, options, result.value());
-  return result;
+  if (collect_metrics_) {
+    metrics_.GetHistogram("engine.parse_ns")->Observe(NowNs() - t0);
+  }
+  RDFQL_ASSIGN_OR_RETURN(MappingSet result, Eval(graph_name, pattern, options));
+  return AnswerFrom(cc, graph_name, options, std::move(result));
 }
 
-Result<MappingSet> Engine::QueryLogged(const std::string& graph_name,
-                                       std::string_view query,
-                                       EvalOptions options, QueryLog* log) {
+Result<Engine::Answer> Engine::QueryLogged(const std::string& graph_name,
+                                           std::string_view query,
+                                           EvalOptions options,
+                                           QueryLog* log) {
   ProfileFrame profile_frame("Engine::Query");
   QueryLogRecord rec;
   rec.correlation_id = log->NextCorrelationId();
@@ -385,7 +400,7 @@ Result<MappingSet> Engine::QueryLogged(const std::string& graph_name,
       }
       rec.slow = CrossedSlowThreshold(rec, *log);
       log->Record(std::move(rec));
-      return MappingSet(*hit);
+      return Answer{std::move(hit), MappingSet()};
     }
   }
 
@@ -459,7 +474,6 @@ Result<MappingSet> Engine::QueryLogged(const std::string& graph_name,
   rec.total_mappings = options.accountant->total_mappings();
   if (result.ok()) {
     rec.rows_out = result.value().size();
-    CacheStoreResult(cc, graph_name, options, result.value());
   } else {
     RecordRejection(result.status(), WatchdogTripped(slot));
     rec.outcome = OutcomeForFailure(result.status(), slot);
@@ -481,7 +495,8 @@ Result<MappingSet> Engine::QueryLogged(const std::string& graph_name,
         ExplainEval(**graph, pattern, dict_, explain_options).ToString();
   }
   log->Record(std::move(rec));
-  return result;
+  if (!result.ok()) return result.status();
+  return AnswerFrom(cc, graph_name, options, std::move(result).value());
 }
 
 void Engine::SetDefaultThreads(int threads) {
@@ -955,8 +970,12 @@ Result<QueryExplanation> Engine::QueryExplained(const std::string& graph_name,
     out.explanation.plan->counters.emplace_back("correlation_id",
                                                 out.correlation_id);
   }
-  if (!(enforced && token->cancelled())) {
-    CacheStoreResult(cc, graph_name, options, out.explanation.result);
+  if (cc.StoresResult() && !(enforced && token->cancelled())) {
+    // EXPLAIN hands its result back, so the cache gets its own copy,
+    // detached from any accountant the caller has installed.
+    auto copy = std::make_shared<MappingSet>(out.explanation.result);
+    copy->DetachAccounting();
+    CacheStoreResult(cc, graph_name, options, std::move(copy));
   }
   if (log != nullptr) {
     rec.cache = cc.LogOutcome();
@@ -1091,25 +1110,25 @@ Result<TranslationExplanation> Engine::TranslateExplained(
 
 Result<bool> Engine::Ask(const std::string& graph_name,
                          std::string_view query, EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(MappingSet result,
-                         Query(graph_name, query, options));
-  return !result.empty();
+  RDFQL_ASSIGN_OR_RETURN(Answer answer,
+                         QueryAnswer(graph_name, query, std::move(options)));
+  return !answer.set().empty();
 }
 
 Result<std::string> Engine::QueryCsv(const std::string& graph_name,
                                      std::string_view query,
                                      EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(MappingSet result,
-                         Query(graph_name, query, options));
-  return WriteCsv(result, dict_);
+  RDFQL_ASSIGN_OR_RETURN(Answer answer,
+                         QueryAnswer(graph_name, query, std::move(options)));
+  return WriteCsv(answer.set(), dict_);
 }
 
 Result<std::string> Engine::QueryJson(const std::string& graph_name,
                                       std::string_view query,
                                       EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(MappingSet result,
-                         Query(graph_name, query, options));
-  return WriteResultsJson(result, dict_);
+  RDFQL_ASSIGN_OR_RETURN(Answer answer,
+                         QueryAnswer(graph_name, query, std::move(options)));
+  return WriteResultsJson(answer.set(), dict_);
 }
 
 PatternReport Engine::Classify(const PatternPtr& pattern,

@@ -165,7 +165,9 @@ class Engine {
   /// Parses a CONSTRUCT query.
   Result<ConstructQuery> ParseConstructQuery(std::string_view query);
 
-  /// Parse + evaluate against a named graph.
+  /// Parse + evaluate against a named graph. The set is the caller's own:
+  /// an answer shared with the result cache (a hit, or a miss the cache
+  /// stored) is copied once on the way out.
   Result<MappingSet> Query(const std::string& graph_name,
                            std::string_view query,
                            EvalOptions options = {});
@@ -195,7 +197,9 @@ class Engine {
   Result<bool> Ask(const std::string& graph_name, std::string_view query,
                    EvalOptions options = {});
 
-  /// Query + CSV / W3C-style JSON serialization in one call.
+  /// Query + CSV / W3C-style JSON serialization in one call. Ask, QueryCsv
+  /// and QueryJson read the answer where it lies: a result-cache hit is
+  /// never copied, and a miss hands its set to the cache without a copy.
   Result<std::string> QueryCsv(const std::string& graph_name,
                                std::string_view query,
                                EvalOptions options = {});
@@ -398,6 +402,9 @@ class Engine {
     uint64_t graph_epoch = 0;
     std::string canonical;  // CanonicalizeQueryText(query)
 
+    /// Whether a successful evaluation's answer goes into the result cache.
+    bool StoresResult() const { return result_on && epoch_known && !result_hit; }
+
     /// The query log's cache-outcome token ("" ⇒ no cache attached).
     const char* LogOutcome() const {
       if (cache == nullptr) return "";
@@ -432,9 +439,34 @@ class Engine {
                                  std::string* fragment);
 
   /// Installs a successful evaluation's result under the epoch read by
-  /// CacheResultLookup. No-op unless result caching is on for this query.
+  /// CacheResultLookup. Callers check cc.StoresResult() first.
   void CacheStoreResult(const CacheContext& cc, const std::string& graph_name,
-                        const EvalOptions& options, const MappingSet& result);
+                        const EvalOptions& options,
+                        std::shared_ptr<const MappingSet> result);
+
+  /// A text query's answer, as Query, Ask, QueryCsv and QueryJson read it:
+  /// shared with the result cache (a hit, or a miss the cache was handed),
+  /// or owned when this query does not cache results.
+  struct Answer {
+    std::shared_ptr<const MappingSet> shared;
+    MappingSet owned;
+
+    const MappingSet& set() const {
+      return shared != nullptr ? *shared : owned;
+    }
+  };
+
+  /// Wraps a successful evaluation as its answer. When the query stores
+  /// results, the (already detached) set moves into a shared_ptr that the
+  /// cache keeps as is, so no copy is made.
+  Answer AnswerFrom(const CacheContext& cc, const std::string& graph_name,
+                    const EvalOptions& options, MappingSet result);
+
+  /// The text-query lifecycle behind Query, Ask, QueryCsv and QueryJson:
+  /// plan and result cache, parse, evaluate, and the query log when one is
+  /// attached. Returns the answer without copying it.
+  Result<Answer> QueryAnswer(const std::string& graph_name,
+                             std::string_view query, EvalOptions options);
 
   /// Folds the cache's lifetime stats into the registry: monotone
   /// engine.cache_{hit,miss,eviction,bypass} counters (delta-tracked, so
@@ -445,13 +477,14 @@ class Engine {
   /// Applies the engine-wide thread default to per-query options.
   EvalOptions WithEngineDefaults(EvalOptions options) const;
 
-  /// Query() with a resolved QueryLog sink: same evaluation pipeline, plus
-  /// one record per query (parse failures and rejections included). The
-  /// measured eval_ns is the same value the engine.eval_ns histogram
-  /// observes, so log-side percentiles reproduce MetricsSnapshot exactly.
-  Result<MappingSet> QueryLogged(const std::string& graph_name,
-                                 std::string_view query, EvalOptions options,
-                                 QueryLog* log);
+  /// QueryAnswer() with a resolved QueryLog sink: same evaluation
+  /// pipeline, plus one record per query (parse failures and rejections
+  /// included). The measured eval_ns is the same value the engine.eval_ns
+  /// histogram observes, so log-side percentiles reproduce MetricsSnapshot
+  /// exactly.
+  Result<Answer> QueryLogged(const std::string& graph_name,
+                             std::string_view query, EvalOptions options,
+                             QueryLog* log);
 
   /// Recomputes the engine.graph_bytes / engine.graph_triples gauges after
   /// a graph mutation.

@@ -20,12 +20,13 @@ size_t ShardOf(uint64_t hash) {
   return static_cast<size_t>(Mix(hash) & (kQueryCacheShards - 1));
 }
 
-uint64_t ResultMapHash(const ResultCacheKey& key) {
+/// A result slot's identity: the key without its epoch, so an answer at a
+/// newer epoch lands in the slot of the answer it supersedes.
+uint64_t ResultSlotHash(const ResultCacheKey& key) {
   uint64_t h = Mix(key.query_hash);
   for (char c : key.graph) {
     h = Mix(h ^ static_cast<unsigned char>(c));
   }
-  h = Mix(h ^ key.graph_epoch);
   return Mix(h ^ key.options_fp);
 }
 
@@ -60,6 +61,9 @@ struct QueryCache::ResultShard {
   };
   mutable std::mutex mu;
   std::list<Entry> lru;  // front = most recently used
+  // Keyed by ResultSlotHash: one slot per (query, graph, options). As in
+  // the plan shard, colliding keys share a slot and the full-key check
+  // downgrades the collision to a miss.
   std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
   uint64_t bytes = 0;
 };
@@ -135,12 +139,11 @@ void QueryCache::PutPlan(uint64_t hash, CachedPlanPtr plan) {
 std::shared_ptr<const MappingSet> QueryCache::GetResult(
     const ResultCacheKey& key, std::string_view canonical) {
   if (!result_enabled()) return nullptr;
-  uint64_t map_hash = ResultMapHash(key);
   ResultShard& shard = result_shards_[ShardOf(key.query_hash)];
   {
     TimedExclusiveLock<std::mutex> lock(shard.mu, &lock_wait_,
                                         "QueryCache::shard");
-    auto it = shard.map.find(map_hash);
+    auto it = shard.map.find(ResultSlotHash(key));
     if (it != shard.map.end() && it->second->key == key &&
         it->second->canonical_query == canonical) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -154,43 +157,41 @@ std::shared_ptr<const MappingSet> QueryCache::GetResult(
 
 void QueryCache::PutResult(const ResultCacheKey& key,
                            std::string_view canonical,
-                           const MappingSet& result) {
-  if (!result_enabled()) return;
-  // Size and copy outside the lock. The copy is made with no thread-local
-  // accountant in scope at the engine call sites; DetachAccounting() makes
-  // that unconditional, so a cached set never points at a dead accountant.
-  uint64_t bytes = result.ApproxBytes();
+                           std::shared_ptr<const MappingSet> result) {
+  if (!result_enabled() || result == nullptr) return;
+  uint64_t bytes = result->ApproxBytes();
   if (bytes > options_.result_entry_max_bytes || bytes > result_shard_budget_) {
     result_oversize_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  auto copy = std::make_shared<MappingSet>(result);
-  copy->DetachAccounting();
-  uint64_t map_hash = ResultMapHash(key);
+  uint64_t slot = ResultSlotHash(key);
   ResultShard& shard = result_shards_[ShardOf(key.query_hash)];
+  // The answer a replaced slot held; released after the lock, since this
+  // may be its last reference.
+  std::shared_ptr<const MappingSet> superseded;
   uint64_t evicted = 0;
   {
     TimedExclusiveLock<std::mutex> lock(shard.mu, &lock_wait_,
                                         "QueryCache::shard");
-    auto it = shard.map.find(map_hash);
+    auto it = shard.map.find(slot);
     if (it != shard.map.end()) {
       shard.bytes -= it->second->bytes;
       it->second->key = key;
-      it->second->canonical_query = std::string(canonical);
-      it->second->result = std::move(copy);
+      it->second->canonical_query.assign(canonical);
+      superseded = std::exchange(it->second->result, std::move(result));
       it->second->bytes = bytes;
       shard.bytes += bytes;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       shard.lru.push_front(ResultShard::Entry{key, std::string(canonical),
-                                              std::move(copy), bytes});
-      shard.map.emplace(map_hash, shard.lru.begin());
+                                              std::move(result), bytes});
+      shard.map.emplace(slot, shard.lru.begin());
       shard.bytes += bytes;
     }
     while (shard.bytes > result_shard_budget_ && shard.lru.size() > 1) {
       const ResultShard::Entry& tail = shard.lru.back();
       shard.bytes -= tail.bytes;
-      shard.map.erase(ResultMapHash(tail.key));
+      shard.map.erase(ResultSlotHash(tail.key));
       shard.lru.pop_back();
       ++evicted;
     }

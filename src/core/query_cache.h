@@ -51,8 +51,10 @@ using CachedPlanPtr = std::shared_ptr<const CachedPlan>;
 
 /// Identity of a materialized result: the canonicalized query hash, the
 /// graph it ran against by name *and* epoch (see Graph::Epoch — any
-/// mutation moves the epoch, so stale entries can never hit again), and a
-/// fingerprint of the evaluation options that key distinct entries.
+/// mutation moves the epoch, so a stale answer can never hit), and a
+/// fingerprint of the evaluation options that key distinct entries. The
+/// cache keeps one slot per key minus its epoch; a lookup matches the whole
+/// key.
 struct ResultCacheKey {
   uint64_t query_hash = 0;
   std::string graph;
@@ -100,8 +102,10 @@ struct QueryCacheStats {
 ///
 ///  - a **plan cache** mapping canonicalized query text (by stable hash)
 ///    to the parsed immutable PatternPtr + fragment, and
-///  - an optional **result cache** mapping (query hash, graph name, graph
-///    epoch, options fingerprint) to a materialized MappingSet.
+///  - an optional **result cache** holding one slot per (query hash, graph
+///    name, options fingerprint): the materialized MappingSet of the
+///    latest answer stored for it, tagged with the graph epoch it was
+///    computed at.
 ///
 /// Keying is syntactic on purpose: subsumption of (weakly) well-designed
 /// patterns is undecidable (Kaminski & Kostylev 2019) and even static
@@ -112,9 +116,11 @@ struct QueryCacheStats {
 ///
 /// Fully thread-safe: 16 hash-partitioned mutexes (one per shard), atomic
 /// stats, and immutable shared values — a hit hands back a shared_ptr
-/// without copying under the lock. The cache never invalidates result
-/// entries in place; graph mutations move Graph::Epoch so stale entries
-/// simply stop matching and age out of the LRU.
+/// without copying under the lock. A graph mutation moves Graph::Epoch, so
+/// the slot's answer stops matching, and the next answer stored for that
+/// query replaces it in place. NS, MINUS and OPT are non-monotone, so any
+/// write may change any answer: an answer superseded by an epoch is dead,
+/// and the slot never holds more than one.
 class QueryCache {
  public:
   explicit QueryCache(QueryCacheOptions options = {});
@@ -141,18 +147,24 @@ class QueryCache {
   /// past capacity. No-op when the plan cache is disabled.
   void PutPlan(uint64_t hash, CachedPlanPtr plan);
 
-  /// Looks up a materialized result. The canonical text is verified, so a
-  /// hash collision is a miss. The returned set is shared and immutable —
-  /// callers copy it (MappingSet's copy re-accounts to the accountant
-  /// installed at copy time and preserves insertion order exactly).
+  /// Looks up a materialized result. Hits only when the slot's answer has
+  /// the whole key, epoch included, and the canonical text, so an answer
+  /// from another graph state or a hash collision is a miss. The returned
+  /// set is shared and immutable: read it in place, or copy it (a copy
+  /// re-accounts to the accountant installed at copy time and preserves
+  /// insertion order exactly). It stays valid after its slot is replaced.
   std::shared_ptr<const MappingSet> GetResult(const ResultCacheKey& key,
                                               std::string_view canonical);
 
-  /// Copies `result` into the cache under `key` unless it exceeds the
-  /// per-entry byte cap; evicts the shard's LRU tail until the shard is
-  /// back under its byte budget. No-op when the result cache is disabled.
+  /// Stores `result` as is, sharing it with the caller, in the slot of
+  /// (query hash, graph, options fingerprint), replacing the answer the
+  /// slot held at any epoch. The set must not be changed afterwards and
+  /// must not report to an accountant (see MappingSet::DetachAccounting).
+  /// A set over the per-entry byte cap is refused and counted as
+  /// oversize. Evicts the shard's LRU tail until the shard is back under
+  /// its byte budget. No-op when the result cache is disabled.
   void PutResult(const ResultCacheKey& key, std::string_view canonical,
-                 const MappingSet& result);
+                 std::shared_ptr<const MappingSet> result);
 
   /// Counts a query that ran with caching switched off per-query.
   void NoteBypass() { bypasses_.fetch_add(1, std::memory_order_relaxed); }

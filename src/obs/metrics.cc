@@ -19,7 +19,14 @@ void AppendNumber(double v, std::string* out) {
 }  // namespace
 
 void AppendJsonEscaped(std::string_view s, std::string* out) {
-  for (char c : s) {
+  // Most strings need no escaping: append the clean prefix in one go.
+  size_t clean = 0;
+  while (clean < s.size() && s[clean] != '"' && s[clean] != '\\' &&
+         static_cast<unsigned char>(s[clean]) >= 0x20) {
+    ++clean;
+  }
+  out->append(s.data(), clean);
+  for (char c : s.substr(clean)) {
     switch (c) {
       case '"':
         out->append("\\\"");

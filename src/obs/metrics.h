@@ -140,7 +140,8 @@ class MetricsRegistry {
 };
 
 /// Appends a JSON-escaped copy of `s` (quotes not included) to `out`.
-/// Shared by the metrics, tracer and bench JSON emitters.
+/// Shared by the metrics, tracer and bench JSON emitters and the result
+/// writer (algebra/result_io.h).
 void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// The shared percentile estimator behind Histogram::Percentile and

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/result_io.h"
 #include "core/engine.h"
 #include "obs/openmetrics.h"
 #include "obs/query_log.h"
@@ -136,11 +137,15 @@ ResultCacheKey KeyFor(uint64_t hash) {
   return ResultCacheKey{hash, "g", 1, 0};
 }
 
+std::shared_ptr<const MappingSet> Shared(const MappingSet& result) {
+  return std::make_shared<const MappingSet>(result);
+}
+
 TEST(QueryCacheTest, ResultMissStoreHitRoundTrip) {
   QueryCache cache{QueryCacheOptions{}};
   MappingSet result = SmallResult();
   EXPECT_EQ(cache.GetResult(KeyFor(1), "q"), nullptr);
-  cache.PutResult(KeyFor(1), "q", result);
+  cache.PutResult(KeyFor(1), "q", Shared(result));
   std::shared_ptr<const MappingSet> hit = cache.GetResult(KeyFor(1), "q");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, result);
@@ -150,12 +155,29 @@ TEST(QueryCacheTest, ResultMissStoreHitRoundTrip) {
 TEST(QueryCacheTest, ResultKeyFieldsAllMatter) {
   QueryCache cache{QueryCacheOptions{}};
   MappingSet result = SmallResult();
-  cache.PutResult(ResultCacheKey{1, "g", 1, 0}, "q", result);
+  cache.PutResult(ResultCacheKey{1, "g", 1, 0}, "q", Shared(result));
   EXPECT_EQ(cache.GetResult(ResultCacheKey{2, "g", 1, 0}, "q"), nullptr);
   EXPECT_EQ(cache.GetResult(ResultCacheKey{1, "h", 1, 0}, "q"), nullptr);
   EXPECT_EQ(cache.GetResult(ResultCacheKey{1, "g", 2, 0}, "q"), nullptr);
   EXPECT_EQ(cache.GetResult(ResultCacheKey{1, "g", 1, 9}, "q"), nullptr);
   EXPECT_NE(cache.GetResult(ResultCacheKey{1, "g", 1, 0}, "q"), nullptr);
+}
+
+// Every write moves the graph's epoch and supersedes every answer cached
+// for it, so a query keeps one slot: each newer answer replaces the last
+// instead of waiting for the LRU to push it out.
+TEST(QueryCacheTest, NewerEpochReplacesTheSlotInPlace) {
+  MappingSet result = SmallResult();
+  QueryCache cache{QueryCacheOptions{}};
+  for (uint64_t epoch = 1; epoch <= 100; ++epoch) {
+    cache.PutResult(ResultCacheKey{1, "g", epoch, 0}, "q", Shared(result));
+  }
+  QueryCacheStats s = cache.Stats();
+  EXPECT_EQ(s.result_entries, 1u);
+  EXPECT_EQ(s.result_evictions, 0u);
+  EXPECT_EQ(s.result_bytes, result.ApproxBytes());
+  EXPECT_EQ(cache.GetResult(ResultCacheKey{1, "g", 99, 0}, "q"), nullptr);
+  EXPECT_NE(cache.GetResult(ResultCacheKey{1, "g", 100, 0}, "q"), nullptr);
 }
 
 TEST(QueryCacheTest, ResultByteBudgetEvicts) {
@@ -169,7 +191,7 @@ TEST(QueryCacheTest, ResultByteBudgetEvicts) {
   options.result_entry_max_bytes = entry_bytes;
   QueryCache cache(options);
   for (uint64_t h = 0; h < 128; ++h) {
-    cache.PutResult(KeyFor(h), "q" + std::to_string(h), result);
+    cache.PutResult(KeyFor(h), "q" + std::to_string(h), Shared(result));
   }
   QueryCacheStats s = cache.Stats();
   EXPECT_GT(s.result_evictions, 0u);
@@ -182,7 +204,7 @@ TEST(QueryCacheTest, OversizeResultIsRejectedNotStored) {
   QueryCacheOptions options;
   options.result_entry_max_bytes = 1;  // everything real is oversize
   QueryCache cache(options);
-  cache.PutResult(KeyFor(1), "q", result);
+  cache.PutResult(KeyFor(1), "q", Shared(result));
   EXPECT_EQ(cache.GetResult(KeyFor(1), "q"), nullptr);
   QueryCacheStats s = cache.Stats();
   EXPECT_EQ(s.result_oversize, 1u);
@@ -192,7 +214,7 @@ TEST(QueryCacheTest, OversizeResultIsRejectedNotStored) {
 TEST(QueryCacheTest, ClearDropsEntriesKeepsCounters) {
   QueryCache cache{QueryCacheOptions{}};
   cache.PutPlan(1, MakePlan("q"));
-  cache.PutResult(KeyFor(1), "q", SmallResult());
+  cache.PutResult(KeyFor(1), "q", Shared(SmallResult()));
   ASSERT_NE(cache.GetPlan(1, "q"), nullptr);
   cache.Clear();
   QueryCacheStats s = cache.Stats();
@@ -519,12 +541,26 @@ TEST_P(CacheRaceTest, EpochInvalidationBetweenConcurrentRounds) {
                                     std::to_string(round) + " .")
             .ok());
     const size_t want_size = static_cast<size_t>(round) + 1;
+    // The serial answer as JSON, evaluated outside the engine and its
+    // cache.
+    Result<PatternPtr> pattern = engine.Parse("(?x p ?y)");
+    ASSERT_TRUE(pattern.ok());
+    const std::string want_json = WriteResultsJson(
+        EvalPattern(**engine.GetGraph("g"), *pattern), *engine.dict());
     std::vector<std::thread> readers;
     for (int t = 0; t < kThreads; ++t) {
       readers.emplace_back([&] {
+        // QueryJson serializes the shared cached set in place, racing the
+        // other readers and the slot replacement of the round's first
+        // store.
         for (int i = 0; i < 20; ++i) {
-          Result<MappingSet> r = engine.Query("g", "(?x p ?y)");
-          if (!r.ok() || r->size() != want_size) bad.fetch_add(1);
+          if (i % 2 == 0) {
+            Result<MappingSet> r = engine.Query("g", "(?x p ?y)");
+            if (!r.ok() || r->size() != want_size) bad.fetch_add(1);
+          } else {
+            Result<std::string> r = engine.QueryJson("g", "(?x p ?y)");
+            if (!r.ok() || *r != want_json) bad.fetch_add(1);
+          }
         }
       });
     }
@@ -532,6 +568,8 @@ TEST_P(CacheRaceTest, EpochInvalidationBetweenConcurrentRounds) {
   }
   EXPECT_EQ(bad.load(), 0);
   QueryCacheStats s = cache.Stats();
+  // Each round's answer replaced the previous round's in the one slot.
+  EXPECT_EQ(s.result_entries, 1u);
   // At least one miss per epoch (several threads may miss concurrently
   // before the first store lands — that's the race under test), and every
   // lookup resolved to exactly one of hit or miss.
