@@ -46,6 +46,13 @@ void BM_SatUnsatEvaluation(benchmark::State& state) {
   EvalInstance inst = SatUnsatToSimplePattern(phi, psi, &dict, "b");
   bool expected =
       SolveSat(phi).satisfiable && !SolveSat(psi).satisfiable;
+  // The work count `bench_json_check --expect-growth` asserts grows with n:
+  // mappings materialized by one untimed evaluation. Deterministic, so the
+  // growth check cannot fail on timing noise.
+  ResourceAccountant acct;
+  EvalOptions counted;
+  counted.accountant = &acct;
+  RDFQL_CHECK(DecideByEvaluation(inst, counted) == expected);
   for (auto _ : state) {
     bool got = DecideByEvaluation(inst);
     RDFQL_CHECK(got == expected);
@@ -53,6 +60,8 @@ void BM_SatUnsatEvaluation(benchmark::State& state) {
   }
   state.counters["pattern_nodes"] =
       static_cast<double>(inst.pattern->SizeInNodes());
+  state.counters[bench::kGrowthCounter] =
+      static_cast<double>(acct.total_mappings());
 }
 BENCHMARK(BM_SatUnsatEvaluation)->DenseRange(2, 8);
 

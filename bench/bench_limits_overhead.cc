@@ -22,15 +22,16 @@
 // disabled path is <2%.
 //
 // A second pair does the same for the query log at the Engine::Query
-// level: BM_MixQueryLogOff (no log attached — the pre-log code path,
-// byte for byte) vs BM_MixQueryLogOn (ring-only QueryLog recording every
-// query). The paired medians land in the JSON as `paired_log_*_ns`; the
-// budget for the disabled path is <2% (docs/observability.md).
+// level: BM_MixQueryLogOff (no log attached — the query lifecycle copies,
+// hashes and times nothing for the log) vs BM_MixQueryLogOn (ring-only
+// QueryLog recording every query). The paired medians land in the JSON as
+// `paired_log_*_ns`; the budget for the disabled path is <2%
+// (docs/observability.md).
 //
 // A third pair does the same for live monitoring: BM_MixMonitorOff (the
-// in-flight registry disabled — the pre-registry path) vs BM_MixMonitorOn
-// (every query claims a registry slot, carries the slot's accountant and
-// token, and runs the checkpointed path). Medians land as
+// in-flight registry disabled — the lifecycle registers nothing) vs
+// BM_MixMonitorOn (every query claims a registry slot, carries the slot's
+// accountant and token, and runs the checkpointed path). Medians land as
 // `paired_monitor_*_ns`; the budget for the disabled path is <2%
 // (docs/observability.md, "Live monitoring").
 //
@@ -381,7 +382,7 @@ void ReportQueryLogOverhead() {
   std::fprintf(stderr,
                "query-log overhead (paired medians over %d mix sweeps): "
                "off=%.2fms on=%.2fms (%+.2f%%); budget for off (vs the "
-               "pre-log path): <2%% — off IS the pre-log path\n",
+               "pre-log path): <2%% — off is the lifecycle with no log\n",
                kReps, off / 1e6, on / 1e6, (on / off - 1.0) * 100);
   for (const char* name : {"BM_MixQueryLogOff", "BM_MixQueryLogOn"}) {
     bench::AddCaseMetric(name, "paired_log_off_ns", off);
@@ -389,7 +390,7 @@ void ReportQueryLogOverhead() {
   }
 }
 
-// And for live monitoring: registry off (the pre-registry path) vs on
+// And for live monitoring: registry off (no registration) vs on
 // (slot registration + slot-wired accountant/token per query).
 void ReportMonitorOverhead() {
   EnsureMixGraph();
@@ -415,8 +416,8 @@ void ReportMonitorOverhead() {
   std::fprintf(stderr,
                "live-monitoring overhead (paired medians over %d mix "
                "sweeps): off=%.2fms on=%.2fms (%+.2f%%); budget for off (vs "
-               "the pre-registry path): <2%% — off IS the pre-registry "
-               "path\n",
+               "the pre-registry path): <2%% — off is the lifecycle with no "
+               "registration\n",
                kReps, off / 1e6, on / 1e6, (on / off - 1.0) * 100);
   for (const char* name : {"BM_MixMonitorOff", "BM_MixMonitorOn"}) {
     bench::AddCaseMetric(name, "paired_monitor_off_ns", off);

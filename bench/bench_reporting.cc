@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -520,30 +521,29 @@ bool ValidateBenchJson(const std::string& json, bool expect_growth,
   if (!ParseBenchJson(json, &doc, error)) return false;
   if (!expect_growth) return true;
 
-  // family -> (arg, real_ns), only for single-argument cases.
+  // family -> (arg, work count), only for single-argument cases.
   std::map<std::string, std::vector<std::pair<int64_t, double>>> by_family;
   for (const BenchCase& c : doc.cases) {
-    if (c.args.size() == 1) {
-      by_family[c.family].emplace_back(c.args[0], c.real_ns);
+    if (c.args.size() != 1) continue;
+    auto work = std::find_if(
+        c.counters.begin(), c.counters.end(),
+        [](const auto& counter) { return counter.first == kGrowthCounter; });
+    if (work == c.counters.end()) {
+      return Fail(error, "case \"" + c.name + "\": no \"" +
+                             kGrowthCounter + "\" counter to check growth on");
     }
+    by_family[c.family].emplace_back(c.args[0], work->second);
   }
 
   for (auto& [family, points] : by_family) {
-    if (points.size() < 2) continue;
     std::sort(points.begin(), points.end());
-    if (points.front().first == points.back().first) continue;
     for (size_t i = 1; i < points.size(); ++i) {
-      // Growth with a 10% noise allowance per step.
-      if (points[i].second < 0.9 * points[i - 1].second) {
-        return Fail(error,
-                    "family \"" + family + "\": real_ns not monotone at arg " +
-                        std::to_string(points[i].first));
+      if (points[i].first != points[i - 1].first &&
+          points[i].second <= points[i - 1].second) {
+        return Fail(error, "family \"" + family + "\": " + kGrowthCounter +
+                               " does not grow at arg " +
+                               std::to_string(points[i].first));
       }
-    }
-    if (points.back().second <= points.front().second) {
-      return Fail(error, "family \"" + family +
-                             "\": largest instance is not slower than the "
-                             "smallest");
     }
   }
   return true;

@@ -9,8 +9,10 @@
 # snapshots racing pushes, sampler start/stop racing thread
 # registration, timed-lock contention accounting), and the alerting stack
 # (history ring records racing window queries, alert evaluation on the
-# sampler thread racing query traffic, watchdog escalation reads). Pass
-# extra ctest args through, e.g.:
+# sampler thread racing query traffic, watchdog escalation reads), and the
+# query lifecycle every entry point shares (concurrent writers to one query
+# log, the engine's shared metric handles, every entry point at once on one
+# engine). Pass extra ctest args through, e.g.:
 # scripts/tsan_check.sh -j4
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -19,13 +21,14 @@ cmake -B build-tsan -DRDFQL_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target \
   thread_pool_test parallel_sweeps_test mapping_set_test ns_test \
   evaluator_test engine_test inflight_test telemetry_test \
-  query_cache_test profiler_test history_test alerts_test || exit 1
+  query_cache_test profiler_test history_test alerts_test \
+  query_log_test metrics_test query_lifecycle_test || exit 1
 
 # halt_on_error: fail the run on the first report instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

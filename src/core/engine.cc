@@ -228,26 +228,6 @@ Engine::CacheContext Engine::ResolveCache(std::string_view query,
   return cc;
 }
 
-std::shared_ptr<const MappingSet> Engine::CacheResultLookup(
-    CacheContext* cc, const std::string& graph_name,
-    const EvalOptions& options) {
-  auto it = graphs_.find(graph_name);
-  if (it == graphs_.end()) {
-    // Unknown graph: let the normal path surface NotFound (and don't
-    // store under a meaningless epoch).
-    cc->result_on = false;
-    return nullptr;
-  }
-  cc->graph_epoch = it->second.Epoch();
-  cc->epoch_known = true;
-  ResultCacheKey key{cc->hash, graph_name, cc->graph_epoch,
-                     EvalOptionsFingerprint(options)};
-  std::shared_ptr<const MappingSet> hit =
-      cc->cache->GetResult(key, cc->canonical);
-  if (hit != nullptr) cc->result_hit = true;
-  return hit;
-}
-
 Result<PatternPtr> Engine::ParseCached(CacheContext* cc,
                                        std::string_view query,
                                        std::string* fragment) {
@@ -274,229 +254,266 @@ Result<PatternPtr> Engine::ParseCached(CacheContext* cc,
   return parsed;
 }
 
-void Engine::CacheStoreResult(const CacheContext& cc,
-                              const std::string& graph_name,
-                              const EvalOptions& options,
-                              std::shared_ptr<const MappingSet> result) {
-  ResultCacheKey key{cc.hash, graph_name, cc.graph_epoch,
-                     EvalOptionsFingerprint(options)};
-  cc.cache->PutResult(key, cc.canonical, std::move(result));
-}
-
-Engine::Answer Engine::AnswerFrom(const CacheContext& cc,
-                                  const std::string& graph_name,
-                                  const EvalOptions& options,
-                                  MappingSet result) {
-  Answer answer;
-  if (!cc.StoresResult()) {
-    answer.owned = std::move(result);
-    return answer;
-  }
-  answer.shared = std::make_shared<const MappingSet>(std::move(result));
-  CacheStoreResult(cc, graph_name, options, answer.shared);
-  return answer;
-}
-
 Result<MappingSet> Engine::Query(const std::string& graph_name,
                                  std::string_view query,
                                  EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(Answer answer,
-                         QueryAnswer(graph_name, query, std::move(options)));
-  // A shared answer stays the cache's; the caller gets the one copy.
-  if (answer.shared != nullptr) return MappingSet(*answer.shared);
-  return std::move(answer.owned);
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, query, nullptr, std::move(options), nullptr));
+  return std::move(answer).Take();
 }
 
-Result<Engine::Answer> Engine::QueryAnswer(const std::string& graph_name,
-                                           std::string_view query,
-                                           EvalOptions options) {
-  QueryLog* log =
-      options.query_log != nullptr ? options.query_log : default_query_log_;
-  if (log != nullptr) {
-    // QueryLogged opens its own Engine::Query frame — pushing one here too
-    // would double it in every sampled stack.
-    return QueryLogged(graph_name, query, std::move(options), log);
-  }
-  ProfileFrame profile_frame("Engine::Query");
-  // Register with the in-flight registry (monitoring opt-in); the nested
-  // Eval below borrows this slot and fills in fragment, threads and the
-  // eval phase.
-  InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, live_monitoring_ ? StableQueryHash(query) : 0);
-  if (monitor.slot() != nullptr) monitor.slot()->SetPhase(QueryPhase::kParsing);
-  CacheContext cc = ResolveCache(query, options);
-  if (cc.result_on) {
-    uint64_t t0 = collect_metrics_ ? NowNs() : 0;
-    if (std::shared_ptr<const MappingSet> hit =
-            CacheResultLookup(&cc, graph_name, options)) {
-      if (collect_metrics_) {
-        metrics_.GetCounter("engine.queries")->Inc();
-        // The lookup *is* this query's evaluation; observing it keeps the
-        // latency histogram honest about what callers experienced.
-        uint64_t hit_ns = NowNs() - t0;
-        metrics_.GetHistogram("engine.eval_ns")->Observe(hit_ns);
-        if (alerts_ != nullptr && alerts_->wants_fragments()) {
-          // The fragment rides on the plan entry; peek so the lookup stays
-          // out of the plan cache's hit/miss accounting.
-          if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
-            ObserveFragmentLatency(plan->fragment, hit_ns);
-          }
-        }
-      }
-      return Answer{std::move(hit), MappingSet()};
-    }
-  }
-  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = collect_metrics_ ? NowNs() : 0;
-  PatternPtr pattern;
-  {
-    ProfileFrame parse_frame("Parse");
-    RDFQL_ASSIGN_OR_RETURN(pattern, ParseCached(&cc, query, nullptr));
-  }
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.parse_ns")->Observe(NowNs() - t0);
-  }
-  RDFQL_ASSIGN_OR_RETURN(MappingSet result, Eval(graph_name, pattern, options));
-  return AnswerFrom(cc, graph_name, options, std::move(result));
+Result<QueryExplanation> Engine::QueryExplained(const std::string& graph_name,
+                                                std::string_view query,
+                                                EvalOptions options) {
+  QueryExplanation out;
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, query, nullptr, std::move(options), &out));
+  out.explanation.result = std::move(answer).Take();
+  return out;
 }
 
-Result<Engine::Answer> Engine::QueryLogged(const std::string& graph_name,
-                                           std::string_view query,
-                                           EvalOptions options,
-                                           QueryLog* log) {
-  ProfileFrame profile_frame("Engine::Query");
+Result<MappingSet> Engine::Eval(const std::string& graph_name,
+                                const PatternPtr& pattern,
+                                EvalOptions options) {
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, std::string_view(), &pattern, std::move(options),
+          nullptr));
+  return std::move(answer).Take();
+}
+
+Result<Engine::Answer> Engine::Run(const std::string& graph_name,
+                                   std::string_view query,
+                                   const PatternPtr* pattern_in,
+                                   EvalOptions options,
+                                   QueryExplanation* explain) {
+  const bool text = pattern_in == nullptr;
+  ProfileFrame profile_frame(explain != nullptr ? "Engine::QueryExplained"
+                             : text             ? "Engine::Query"
+                                                : nullptr);
+  Result<const Graph*> graph = GetGraph(graph_name);
+  // Eval has no parse step to fail first: an unknown graph fails it before
+  // it registers.
+  if (!text && !graph.ok()) return graph.status();
+  options = WithEngineDefaults(std::move(options));
+  QueryLog* log = text ? options.query_log : nullptr;
+  const MetricHandles* metrics = collect_metrics_ ? &handles_ : nullptr;
+  // Whether some sink reads the record's timings and memory figures: only
+  // then do clocks run and (slots aside) is memory accounted.
+  const bool recording =
+      metrics != nullptr || log != nullptr || explain != nullptr;
+  CacheContext cc = text ? ResolveCache(query, options) : CacheContext();
+
+  // Identity. The registry slot and the log key on the stable hash — the
+  // cache's when it computed one (hashing the canonical text is
+  // idempotent). Eval registers its pattern printed back to text.
   QueryLogRecord rec;
-  rec.correlation_id = log->NextCorrelationId();
-  rec.query_hash = StableQueryHash(query);
-  rec.graph = graph_name;
-  rec.query = std::string(query);
-  rec.unix_ms = UnixMs();
-
+  std::string printed;
+  std::string_view label = query;
+  if (!text && live_monitoring_) {
+    printed = PatternToString(*pattern_in, dict_);
+    label = printed;
+  }
+  if (live_monitoring_ || log != nullptr) {
+    rec.query_hash = cc.keyed() ? cc.hash : StableQueryHash(label);
+  }
+  if (log != nullptr) {
+    rec.correlation_id = log->NextCorrelationId();
+    rec.graph = graph_name;
+    rec.query = query;
+    rec.unix_ms = UnixMs();
+  }
   InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, rec.query_hash);
+                        label, rec.query_hash);
   InflightSlot* slot = monitor.slot();
   if (slot != nullptr) {
     slot->SetCorrelationId(rec.correlation_id);
     slot->SetPhase(QueryPhase::kParsing);
   }
+  // The fragment is classified only for a consumer: the log, the slot, or
+  // a fragment-scoped alert rule.
+  const bool want_fragment =
+      log != nullptr || slot != nullptr ||
+      (metrics != nullptr && !fragment_eval_ns_.empty());
+  if (text && metrics != nullptr) metrics->queries->Inc();
 
-  CacheContext cc = ResolveCache(query, options);
-  if (cc.result_on) {
-    uint64_t t0c = NowNs();
-    if (std::shared_ptr<const MappingSet> hit =
-            CacheResultLookup(&cc, graph_name, options)) {
-      rec.eval_ns = NowNs() - t0c;
-      rec.cache = cc.LogOutcome();
-      // The fragment rides along on the plan entry; recover it without
-      // touching the plan cache's hit/miss accounting.
-      if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
-        rec.fragment = plan->fragment;
+  PatternPtr pattern;
+  // Every exit from here on hands the record to the query log, once.
+  auto publish = [&](const Status& status) {
+    if (log == nullptr) return status;
+    if (!status.ok()) {
+      rec.outcome = OutcomeForFailure(status, slot);
+      rec.error = status.message();
+    }
+    rec.cache = cc.LogOutcome();
+    rec.slow = CrossedSlowThreshold(rec, *log);
+    if (rec.slow && log->options().explain_slow) {
+      if (explain != nullptr) {
+        rec.explain = explain->explanation.ToString();  // already in hand
+      } else if (status.ok() && pattern != nullptr) {
+        // One bounded re-run under a tracer, governance and accounting
+        // cleared so the capture itself cannot be rejected or skew the
+        // figures.
+        EvalOptions capture = options;
+        capture.limits = ResourceLimits{};
+        capture.deadline = Deadline{};
+        capture.cancel = nullptr;
+        capture.accountant = nullptr;
+        capture.metrics = nullptr;
+        rec.explain = ExplainEval(**graph, pattern, dict_, capture).ToString();
       }
-      rec.rows_out = hit->size();
-      if (collect_metrics_) {
-        metrics_.GetCounter("engine.queries")->Inc();
-        metrics_.GetHistogram("engine.eval_ns")->Observe(rec.eval_ns);
-        ObserveFragmentLatency(rec.fragment, rec.eval_ns);
+    }
+    log->Record(std::move(rec));
+    return status;
+  };
+
+  // Result-cache probe. The epoch is read before evaluation: with no writes
+  // during queries, it is the state the evaluation sees. EXPLAIN always
+  // evaluates (a served answer has no plan to instrument), so it only reads
+  // the epoch, for the store.
+  if (cc.result_on && graph.ok()) {
+    cc.graph_epoch = (*graph)->Epoch();
+    cc.epoch_known = true;
+    if (explain == nullptr) {
+      uint64_t t0 = recording ? NowNs() : 0;
+      if (std::shared_ptr<const MappingSet> hit = cc.cache->GetResult(
+              cc.ResultKey(graph_name, options), cc.canonical)) {
+        cc.result_hit = true;
+        // The lookup *is* this query's evaluation: the latency histogram
+        // and the log see what the caller experienced.
+        rec.eval_ns = recording ? NowNs() - t0 : 0;
+        rec.rows_out = hit->size();
+        // The fragment rides on the plan entry; peek so the lookup stays
+        // out of the plan cache's hit/miss accounting.
+        if (want_fragment) {
+          if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
+            rec.fragment = plan->fragment;
+          }
+        }
+        if (metrics != nullptr) {
+          metrics->eval_ns->Observe(rec.eval_ns);
+          ObserveFragmentLatency(rec.fragment, rec.eval_ns);
+        }
+        publish(Status::Ok());
+        return Answer{std::move(hit), MappingSet()};
       }
-      rec.slow = CrossedSlowThreshold(rec, *log);
-      log->Record(std::move(rec));
-      return Answer{std::move(hit), MappingSet()};
     }
   }
 
-  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
-  Result<PatternPtr> parsed = [&] {
-    ProfileFrame parse_frame("Parse");
-    return ParseCached(&cc, query, &rec.fragment);
-  }();
-  rec.parse_ns = NowNs() - t0;
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.parse_ns")->Observe(rec.parse_ns);
+  if (text) {
+    uint64_t t0 = recording ? NowNs() : 0;
+    Result<PatternPtr> parsed = [&] {
+      ProfileFrame parse_frame("Parse");
+      return ParseCached(&cc, query, want_fragment ? &rec.fragment : nullptr);
+    }();
+    rec.parse_ns = recording ? NowNs() - t0 : 0;
+    // Whenever the parse step ran, plan-cache hits and failures included —
+    // the same parse_ns the record carries.
+    if (metrics != nullptr) metrics->parse_ns->Observe(rec.parse_ns);
+    if (!parsed.ok()) return publish(parsed.status());
+    pattern = std::move(parsed).value();
+  } else {
+    pattern = *pattern_in;
+    if (want_fragment) rec.fragment = DescribeFragment(pattern);
   }
-  if (!parsed.ok()) {
-    rec.cache = cc.LogOutcome();
-    rec.outcome = OutcomeString(parsed.status().code());
-    rec.error = parsed.status().message();
-    rec.slow = CrossedSlowThreshold(rec, *log);
-    log->Record(std::move(rec));
-    return parsed.status();
-  }
-  PatternPtr pattern = *std::move(parsed);
   if (slot != nullptr) slot->SetFragment(rec.fragment);
+  if (!graph.ok()) return publish(graph.status());
 
-  Result<const Graph*> graph = GetGraph(graph_name);
-  if (!graph.ok()) {
-    rec.cache = cc.LogOutcome();
-    rec.outcome = OutcomeString(graph.status().code());
-    rec.error = graph.status().message();
-    log->Record(std::move(rec));
-    return graph.status();
-  }
-
-  options = WithEngineDefaults(options);
   rec.threads = options.threads < 1 ? 1 : options.threads;
   if (slot != nullptr) slot->SetThreads(rec.threads);
-  if (collect_metrics_ && options.metrics == nullptr) {
+  if (metrics != nullptr && options.metrics == nullptr) {
     options.metrics = &metrics_;
   }
-  // The log always accounts memory (its records carry peak figures); a
-  // caller-provided accountant wins, exactly as on the unlogged path. With
-  // a registry slot, the slot-owned accountant is used instead of a local
-  // one so snapshots see the query's live figures, and the slot's token is
-  // wired in so the watchdog can cancel the query mid-flight.
-  ResourceAccountant acct;
-  if (options.accountant == nullptr) {
-    options.accountant = slot != nullptr ? slot->accountant() : &acct;
+  // A caller's accountant wins, except under EXPLAIN, which reports its
+  // own figures. Otherwise the slot's accountant is used when there is a
+  // slot, so snapshots see the live figures; and the slot's token is wired
+  // in, which is how the watchdog cancels the query mid-flight.
+  if (explain != nullptr) options.accountant = nullptr;
+  std::optional<ResourceAccountant> local_acct;
+  if (options.accountant == nullptr && (recording || slot != nullptr)) {
+    options.accountant =
+        slot != nullptr ? slot->accountant() : &local_acct.emplace();
   }
   if (slot != nullptr && options.cancel == nullptr) {
     options.cancel = slot->token();
   }
+  std::optional<Tracer> tracer;
+  if (explain != nullptr) {
+    tracer.emplace();
+    options.tracer = &*tracer;
+    options.trace_dict = &dict_;
+  }
 
   if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  t0 = NowNs();
+  uint64_t t0 = recording ? NowNs() : 0;
   Result<MappingSet> result = [&] {
     ProfileFrame eval_frame("Eval");
     return Evaluator(*graph, options).EvalChecked(pattern);
   }();
-  rec.eval_ns = NowNs() - t0;
+  rec.eval_ns = recording ? NowNs() - t0 : 0;
   if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  // One measured value into both sinks: the engine histogram and the log
-  // record see the same eval_ns, so rdfql_stats over the log reproduces
-  // MetricsSnapshot's percentiles exactly.
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.eval_ns")->Observe(rec.eval_ns);
-    ObserveFragmentLatency(rec.fragment, rec.eval_ns);
-    RecordAccounting(*options.accountant);
+
+  if (const ResourceAccountant* acct = options.accountant) {
+    rec.peak_mappings = acct->peak_mappings();
+    rec.peak_bytes = acct->peak_bytes();
+    rec.total_mappings = acct->total_mappings();
   }
-  rec.peak_mappings = options.accountant->peak_mappings();
-  rec.peak_bytes = options.accountant->peak_bytes();
-  rec.total_mappings = options.accountant->total_mappings();
   if (result.ok()) {
-    rec.rows_out = result.value().size();
+    rec.rows_out = result->size();
   } else {
     RecordRejection(result.status(), WatchdogTripped(slot));
-    rec.outcome = OutcomeForFailure(result.status(), slot);
-    rec.error = result.status().message();
   }
-  rec.cache = cc.LogOutcome();
-  rec.slow = CrossedSlowThreshold(rec, *log);
-  if (rec.slow && log->options().explain_slow && result.ok()) {
-    // Capture the full EXPLAIN ANALYZE for the offender: one bounded
-    // re-run under a tracer, governance and accounting cleared so the
-    // capture itself cannot be rejected or skew the figures.
-    EvalOptions explain_options = options;
-    explain_options.limits = ResourceLimits{};
-    explain_options.deadline = Deadline{};
-    explain_options.cancel = nullptr;
-    explain_options.accountant = nullptr;
-    explain_options.metrics = nullptr;
-    rec.explain =
-        ExplainEval(**graph, pattern, dict_, explain_options).ToString();
+  // One measured value into every sink: the engine histogram and the log
+  // record see the same eval_ns, so rdfql_stats over the log reproduces
+  // MetricsSnapshot's percentiles exactly.
+  if (metrics != nullptr) {
+    metrics->eval_ns->Observe(rec.eval_ns);
+    ObserveFragmentLatency(rec.fragment, rec.eval_ns);
+    metrics->peak_mappings->Set(static_cast<int64_t>(rec.peak_mappings));
+    metrics->peak_bytes->Set(static_cast<int64_t>(rec.peak_bytes));
+    metrics->total_mappings->Inc(rec.total_mappings);
+    metrics->peak_mappings_per_query->Observe(rec.peak_mappings);
+    metrics->peak_bytes_per_query->Observe(rec.peak_bytes);
   }
-  log->Record(std::move(rec));
-  if (!result.ok()) return result.status();
-  return AnswerFrom(cc, graph_name, options, std::move(result).value());
+  if (explain != nullptr) {
+    explain->parse_ns = rec.parse_ns;
+    explain->eval_ns = rec.eval_ns;
+    explain->peak_mappings = rec.peak_mappings;
+    explain->peak_bytes = rec.peak_bytes;
+    explain->total_mappings = rec.total_mappings;
+    explain->limits = options.limits;
+    explain->correlation_id = rec.correlation_id;
+    if (cc.cache != nullptr) explain->cache_note = cc.ExplainNote();
+    if (tracer->root() != nullptr) {
+      explain->explanation.plan = PlanFromSpan(*tracer->root());
+      if (rec.correlation_id != 0) {
+        explain->explanation.plan->counters.emplace_back("correlation_id",
+                                                         rec.correlation_id);
+      }
+    }
+    if (metrics != nullptr) {
+      explain->hist_queries = metrics->eval_ns->Count();
+      explain->eval_p50_ns = metrics->eval_ns->Percentile(0.5);
+      explain->eval_p90_ns = metrics->eval_ns->Percentile(0.9);
+      explain->eval_p99_ns = metrics->eval_ns->Percentile(0.99);
+    }
+  }
+  if (!result.ok()) return publish(result.status());
+
+  // A stored answer moves into a shared_ptr the cache keeps as is: no copy.
+  Answer answer;
+  if (cc.StoresResult()) {
+    answer.shared =
+        std::make_shared<const MappingSet>(std::move(result).value());
+    cc.cache->PutResult(cc.ResultKey(graph_name, options), cc.canonical,
+                        answer.shared);
+  } else {
+    answer.owned = std::move(result).value();
+  }
+  publish(Status::Ok());
+  return answer;
 }
 
 void Engine::SetDefaultThreads(int threads) {
@@ -525,81 +542,40 @@ EvalOptions Engine::WithEngineDefaults(EvalOptions options) const {
   return options;
 }
 
-Result<MappingSet> Engine::Eval(const std::string& graph_name,
-                                const PatternPtr& pattern,
-                                EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(const Graph* graph, GetGraph(graph_name));
-  // Direct Eval calls register with the in-flight registry too; nested
-  // calls (Query -> Eval) borrow the slot their Query already registered.
-  // The pattern is printed back to its concrete syntax only when this call
-  // owns a fresh registration.
-  InflightRegistry* registry = live_monitoring_ ? &inflight_ : nullptr;
-  std::string pattern_text;
-  if (registry != nullptr && InflightScope::CurrentSlot() == nullptr) {
-    pattern_text = PatternToString(pattern, dict_);
-  }
-  InflightScope monitor(
-      registry, graph_name, pattern_text,
-      pattern_text.empty() ? 0 : StableQueryHash(pattern_text));
-  InflightSlot* slot = monitor.slot();
-  options = WithEngineDefaults(options);
-  // The fragment is classified when someone consumes it: a registry slot,
-  // or a fragment-scoped alert rule wanting its latency histogram.
-  std::string fragment;
-  if (slot != nullptr ||
-      (collect_metrics_ && alerts_ != nullptr && alerts_->wants_fragments())) {
-    fragment = DescribeFragment(pattern);
-  }
-  if (slot != nullptr) {
-    slot->SetFragment(fragment);
-    slot->SetThreads(options.threads < 1 ? 1 : options.threads);
-    if (options.accountant == nullptr) options.accountant = slot->accountant();
-    if (options.cancel == nullptr) options.cancel = slot->token();
-  }
-  bool governed = options.governed();
-  ProfileFrame eval_frame("Eval");
-  if (!collect_metrics_ && !governed) {
-    return EvalPattern(*graph, pattern, options);
-  }
-  if (collect_metrics_ && options.metrics == nullptr) {
-    options.metrics = &metrics_;
-  }
-  // Per-query memory accounting rides on the metrics opt-in: a fresh
-  // accountant per query, folded into the registry afterwards. A
-  // caller-provided accountant wins (and the caller reads it directly).
-  // Governed-only queries without metrics skip it — EvalChecked creates
-  // its own accountant when the limits need one.
-  ResourceAccountant acct;
-  if (collect_metrics_ && options.accountant == nullptr) {
-    options.accountant = &acct;
-  }
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  uint64_t t0 = NowNs();
-  Result<MappingSet> result = Evaluator(graph, options).EvalChecked(pattern);
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  if (collect_metrics_) {
-    uint64_t eval_ns = NowNs() - t0;
-    metrics_.GetHistogram("engine.eval_ns")->Observe(eval_ns);
-    ObserveFragmentLatency(fragment, eval_ns);
-    RecordAccounting(*options.accountant);
-  }
-  if (!result.ok()) RecordRejection(result.status(), WatchdogTripped(slot));
-  return result;
+void Engine::EnableMetrics(bool on) {
+  collect_metrics_ = on;
+  if (!on || handles_.queries != nullptr) return;
+  handles_.queries = metrics_.GetCounter("engine.queries");
+  handles_.parse_ns = metrics_.GetHistogram("engine.parse_ns");
+  handles_.eval_ns = metrics_.GetHistogram("engine.eval_ns");
+  handles_.peak_mappings = metrics_.GetGauge("engine.peak_mappings");
+  handles_.peak_bytes = metrics_.GetGauge("engine.peak_bytes");
+  handles_.total_mappings = metrics_.GetCounter("engine.total_mappings");
+  handles_.peak_mappings_per_query =
+      metrics_.GetHistogram("engine.peak_mappings_per_query");
+  handles_.peak_bytes_per_query =
+      metrics_.GetHistogram("engine.peak_bytes_per_query");
 }
 
 void Engine::RecordRejection(const Status& status, bool watchdog_cancelled) {
+  std::call_once(rejections_once_, [this] {
+    rejections_.rejected = metrics_.GetCounter("engine.queries_rejected");
+    rejections_.deadline_exceeded =
+        metrics_.GetCounter("engine.queries_deadline_exceeded");
+    rejections_.cancelled = metrics_.GetCounter("engine.queries_cancelled");
+    rejections_.watchdog_cancelled =
+        metrics_.GetCounter("engine.queries_watchdog_cancelled");
+  });
   switch (status.code()) {
     case StatusCode::kResourceExhausted:
-      metrics_.GetCounter("engine.queries_rejected")->Inc();
+      rejections_.rejected->Inc();
       break;
     case StatusCode::kDeadlineExceeded:
-      metrics_.GetCounter("engine.queries_deadline_exceeded")->Inc();
+      rejections_.deadline_exceeded->Inc();
       break;
     case StatusCode::kCancelled:
-      metrics_.GetCounter("engine.queries_cancelled")->Inc();
-      if (watchdog_cancelled) {
-        metrics_.GetCounter("engine.queries_watchdog_cancelled")->Inc();
-      }
+      rejections_.cancelled->Inc();
+      if (watchdog_cancelled) rejections_.watchdog_cancelled->Inc();
       break;
     default:
       break;
@@ -770,6 +746,11 @@ Status Engine::SetAlertRules(const std::string& rules_json,
   }
   history_ = std::move(history);
   alerts_ = std::move(alerts);
+  fragment_eval_ns_.clear();
+  for (const std::string& fragment : alerts_->fragments()) {
+    fragment_eval_ns_[fragment] =
+        metrics_.GetHistogram(FragmentMetricName("engine.eval_ns", fragment));
+  }
   // Rules without metrics would evaluate an empty ring forever.
   EnableMetrics(true);
   return Status::Ok();
@@ -782,17 +763,14 @@ Status Engine::ClearAlertRules() {
   }
   alerts_.reset();
   history_.reset();
+  fragment_eval_ns_.clear();
   return Status::Ok();
 }
 
 void Engine::ObserveFragmentLatency(const std::string& fragment,
                                     uint64_t eval_ns) {
-  if (alerts_ == nullptr || fragment.empty() ||
-      !alerts_->WantsFragment(fragment)) {
-    return;
-  }
-  metrics_.GetHistogram(FragmentMetricName("engine.eval_ns", fragment))
-      ->Observe(eval_ns);
+  auto it = fragment_eval_ns_.find(fragment);
+  if (it != fragment_eval_ns_.end()) it->second->Observe(eval_ns);
 }
 
 Status Engine::EnableProfiling(uint64_t hz) {
@@ -814,196 +792,6 @@ void Engine::DisableProfiling() {
   if (profiler_ != nullptr) profiler_->Stop();
 }
 
-
-void Engine::RecordAccounting(const ResourceAccountant& acct) {
-  metrics_.GetGauge("engine.peak_mappings")
-      ->Set(static_cast<int64_t>(acct.peak_mappings()));
-  metrics_.GetGauge("engine.peak_bytes")
-      ->Set(static_cast<int64_t>(acct.peak_bytes()));
-  metrics_.GetCounter("engine.total_mappings")->Inc(acct.total_mappings());
-  metrics_.GetHistogram("engine.peak_mappings_per_query")
-      ->Observe(acct.peak_mappings());
-  metrics_.GetHistogram("engine.peak_bytes_per_query")
-      ->Observe(acct.peak_bytes());
-}
-
-Result<QueryExplanation> Engine::QueryExplained(const std::string& graph_name,
-                                                std::string_view query,
-                                                EvalOptions options) {
-  ProfileFrame profile_frame("Engine::QueryExplained");
-  QueryLog* log =
-      options.query_log != nullptr ? options.query_log : default_query_log_;
-  QueryLogRecord rec;
-  if (log != nullptr) {
-    rec.correlation_id = log->NextCorrelationId();
-    rec.query_hash = StableQueryHash(query);
-    rec.graph = graph_name;
-    rec.query = std::string(query);
-    rec.unix_ms = UnixMs();
-  }
-  InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, live_monitoring_ ? StableQueryHash(query) : 0);
-  InflightSlot* slot = monitor.slot();
-  if (slot != nullptr) {
-    slot->SetCorrelationId(rec.correlation_id);
-    slot->SetPhase(QueryPhase::kParsing);
-  }
-  QueryExplanation out;
-  out.correlation_id = rec.correlation_id;
-  // EXPLAIN consults the plan cache only: it always evaluates (serving a
-  // materialized result would leave nothing to instrument), so its plan
-  // tree and counters are the uncached plan exactly. The instrumented
-  // run's answer is still stored for later plain queries to hit.
-  CacheContext cc = ResolveCache(query, options);
-  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
-  Result<PatternPtr> parsed = [&] {
-    ProfileFrame parse_frame("Parse");
-    return ParseCached(&cc, query, &rec.fragment);
-  }();
-  out.parse_ns = NowNs() - t0;
-  if (!parsed.ok()) {
-    if (log != nullptr) {
-      rec.parse_ns = out.parse_ns;
-      rec.cache = cc.LogOutcome();
-      rec.outcome = OutcomeString(parsed.status().code());
-      rec.error = parsed.status().message();
-      rec.slow = CrossedSlowThreshold(rec, *log);
-      log->Record(std::move(rec));
-    }
-    return parsed.status();
-  }
-  PatternPtr pattern = *std::move(parsed);
-  rec.parse_ns = out.parse_ns;
-  if (slot != nullptr) slot->SetFragment(rec.fragment);
-  if (cc.cache != nullptr) {
-    out.cache_note =
-        cc.bypass
-            ? "bypass"
-            : std::string("plan=") +
-                  (!cc.plan_on ? "off"
-                               : cc.plan_hit ? "hit" : "miss") +
-                  " result=" + (!cc.result_on ? "off" : "live");
-  }
-  Result<const Graph*> graph_result = GetGraph(graph_name);
-  if (!graph_result.ok()) {
-    if (log != nullptr) {
-      rec.cache = cc.LogOutcome();
-      rec.outcome = OutcomeString(graph_result.status().code());
-      rec.error = graph_result.status().message();
-      log->Record(std::move(rec));
-    }
-    return graph_result.status();
-  }
-  const Graph* graph = *graph_result;
-  if (cc.result_on) {
-    // Epoch read before evaluation, mirroring CacheResultLookup: with no
-    // concurrent writes during queries, this is the state the traced
-    // evaluation sees.
-    cc.graph_epoch = graph->Epoch();
-    cc.epoch_known = true;
-  }
-  options = WithEngineDefaults(options);
-  if (slot != nullptr) {
-    slot->SetThreads(options.threads < 1 ? 1 : options.threads);
-  }
-  if (collect_metrics_ && options.metrics == nullptr) {
-    options.metrics = &metrics_;
-  }
-  // EXPLAIN ANALYZE always accounts memory, metrics opt-in or not. With a
-  // registry slot the slot-owned accountant is used, so snapshots see the
-  // instrumented run's live figures.
-  ResourceAccountant local_acct;
-  ResourceAccountant* acct = slot != nullptr ? slot->accountant() : &local_acct;
-  options.accountant = acct;
-  // Arm governance around the traced evaluation: ExplainEval's inner
-  // Evaluator polls the thread-local token, so installing it here puts
-  // the instrumented run under the same limits as Engine::Eval. A slot's
-  // token is installed even for ungoverned queries — that is the watchdog's
-  // only way in.
-  out.limits = options.limits;
-  bool governed = options.governed();
-  CancellationToken local_token;
-  CancellationToken* token = options.cancel != nullptr ? options.cancel
-                             : slot != nullptr         ? slot->token()
-                                                       : &local_token;
-  bool enforced = governed || slot != nullptr;
-  if (governed) {
-    Deadline deadline = options.deadline;
-    if (options.limits.max_wall_ms != 0) {
-      Deadline budget = Deadline::AfterMs(options.limits.max_wall_ms);
-      if (budget.SoonerThan(deadline)) deadline = budget;
-    }
-    token->ArmDeadline(deadline);
-    if (options.limits.max_live_mappings != 0 ||
-        options.limits.max_bytes != 0) {
-      acct->ArmCaps(options.limits.max_live_mappings, options.limits.max_bytes,
-                    token);
-    }
-  }
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  t0 = NowNs();
-  {
-    std::optional<ScopedCancellation> install;
-    if (enforced) install.emplace(token);
-    ProfileFrame eval_frame("Eval");
-    out.explanation = ExplainEval(*graph, pattern, dict_, options);
-  }
-  acct->DisarmCaps();
-  out.eval_ns = NowNs() - t0;
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  out.peak_mappings = acct->peak_mappings();
-  out.peak_bytes = acct->peak_bytes();
-  out.total_mappings = acct->total_mappings();
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.parse_ns")->Observe(out.parse_ns);
-    Histogram* eval_hist = metrics_.GetHistogram("engine.eval_ns");
-    eval_hist->Observe(out.eval_ns);
-    ObserveFragmentLatency(rec.fragment, out.eval_ns);
-    out.hist_queries = eval_hist->Count();
-    out.eval_p50_ns = eval_hist->Percentile(0.5);
-    out.eval_p90_ns = eval_hist->Percentile(0.9);
-    out.eval_p99_ns = eval_hist->Percentile(0.99);
-    RecordAccounting(*acct);
-  }
-  if (out.correlation_id != 0 && out.explanation.plan != nullptr) {
-    out.explanation.plan->counters.emplace_back("correlation_id",
-                                                out.correlation_id);
-  }
-  if (cc.StoresResult() && !(enforced && token->cancelled())) {
-    // EXPLAIN hands its result back, so the cache gets its own copy,
-    // detached from any accountant the caller has installed.
-    auto copy = std::make_shared<MappingSet>(out.explanation.result);
-    copy->DetachAccounting();
-    CacheStoreResult(cc, graph_name, options, std::move(copy));
-  }
-  if (log != nullptr) {
-    rec.cache = cc.LogOutcome();
-    rec.eval_ns = out.eval_ns;
-    rec.threads = options.threads < 1 ? 1 : options.threads;
-    rec.rows_out = out.explanation.result.size();
-    rec.peak_mappings = out.peak_mappings;
-    rec.peak_bytes = out.peak_bytes;
-    rec.total_mappings = out.total_mappings;
-    if (enforced && token->cancelled()) {
-      Status status = token->status();
-      rec.outcome = OutcomeForFailure(status, slot);
-      rec.error = status.message();
-    }
-    rec.slow = CrossedSlowThreshold(rec, *log);
-    // The instrumented plan is already in hand — no re-run needed here.
-    if (rec.slow && log->options().explain_slow) {
-      rec.explain = out.explanation.ToString();
-    }
-    log->Record(std::move(rec));
-  }
-  if (enforced && token->cancelled()) {
-    Status status = token->status();
-    RecordRejection(status, WatchdogTripped(slot));
-    return status;
-  }
-  return out;
-}
 
 Result<TranslationExplanation> Engine::TranslateExplained(
     std::string_view query, const TranslateOptions& options) {
@@ -1110,24 +898,27 @@ Result<TranslationExplanation> Engine::TranslateExplained(
 
 Result<bool> Engine::Ask(const std::string& graph_name,
                          std::string_view query, EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(Answer answer,
-                         QueryAnswer(graph_name, query, std::move(options)));
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, query, nullptr, std::move(options), nullptr));
   return !answer.set().empty();
 }
 
 Result<std::string> Engine::QueryCsv(const std::string& graph_name,
                                      std::string_view query,
                                      EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(Answer answer,
-                         QueryAnswer(graph_name, query, std::move(options)));
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, query, nullptr, std::move(options), nullptr));
   return WriteCsv(answer.set(), dict_);
 }
 
 Result<std::string> Engine::QueryJson(const std::string& graph_name,
                                       std::string_view query,
                                       EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(Answer answer,
-                         QueryAnswer(graph_name, query, std::move(options)));
+  RDFQL_ASSIGN_OR_RETURN(
+      Answer answer,
+      Run(graph_name, query, nullptr, std::move(options), nullptr));
   return WriteResultsJson(answer.set(), dict_);
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "algebra/mapping_set.h"
@@ -245,8 +246,9 @@ class Engine {
   /// figures and the typed outcome — to the sink. Queries whose options
   /// carry their own EvalOptions::query_log keep it (per-query override
   /// wins wholesale, mirroring the limits pattern). The log must outlive
-  /// the engine or be detached with SetQueryLog(nullptr) first; null (the
-  /// default) keeps the pre-log code path bit for bit.
+  /// the engine or be detached with SetQueryLog(nullptr) first. With null
+  /// (the default) the query lifecycle copies no query text, reads no
+  /// wall clock and hashes nothing for the log.
   void SetQueryLog(QueryLog* log) { default_query_log_ = log; }
   QueryLog* query_log() const { return default_query_log_; }
 
@@ -260,17 +262,18 @@ class Engine {
   /// whose options carry EvalOptions::use_plan_cache / use_result_cache
   /// override the default wholesale, mirroring the limits pattern. The
   /// cache must outlive the engine or be detached with
-  /// SetQueryCache(nullptr) first; null (the default) keeps the pre-cache
-  /// code path bit for bit. Pattern-based Eval() never caches — it has no
-  /// query text to key on.
+  /// SetQueryCache(nullptr) first. With null (the default) the lifecycle
+  /// neither canonicalizes nor hashes the text for the cache.
+  /// Pattern-based Eval() never caches — it has no query text to key on.
   void SetQueryCache(QueryCache* cache);
   QueryCache* query_cache() const { return query_cache_; }
 
   /// Turns metric collection on/off (off by default: the uninstrumented
   /// path stays zero-overhead). While enabled, every Query/Eval records
   /// `engine.*` phase timings and `eval.*` operator counters into this
-  /// engine's registry.
-  void EnableMetrics(bool on = true) { collect_metrics_ = on; }
+  /// engine's registry. The first switch-on looks the engine's handles up
+  /// once, so its `engine.*` series exist (at zero) from then on.
+  void EnableMetrics(bool on = true);
   bool metrics_enabled() const { return collect_metrics_; }
 
   /// The engine's registry (always present; callers may add their own
@@ -288,7 +291,7 @@ class Engine {
   // --- Live monitoring ---
 
   /// Turns the in-flight query registry on/off (off by default: the
-  /// unmonitored path stays as cheap as before this feature existed).
+  /// unmonitored lifecycle registers nothing and hashes nothing for it).
   /// While enabled, every Query / QueryExplained / Eval registers a slot —
   /// correlation id, query hash, fragment, current phase, live memory
   /// figures, a cancellation handle — visible through InflightSnapshot(),
@@ -333,9 +336,10 @@ class Engine {
   /// ClearAlertRules) between telemetry runs to change them; fails while
   /// the sampler is running. For every fragment named by some rule, the
   /// engine additionally observes a per-fragment latency histogram
-  /// (FragmentMetricName), so fragment-scoped rules like
-  /// `p99{fragment=SPARQL[AO]} > 50ms` have data to read. Queries that hit
-  /// no fragment-scoped rule pay one pointer test — nothing else changes.
+  /// (FragmentMetricName, looked up here once per fragment), so
+  /// fragment-scoped rules like `p99{fragment=SPARQL[AO]} > 50ms` have data
+  /// to read. Queries that hit no fragment-scoped rule pay one map lookup —
+  /// nothing else changes.
   Status SetAlertRules(const std::string& rules_json,
                        const AlertLogOptions& log_options = AlertLogOptions(),
                        const HistoryOptions& history_options = HistoryOptions());
@@ -388,8 +392,8 @@ class Engine {
   Profiler* profiler() { return profiler_.get(); }
 
  private:
-  /// One text query's resolved cache decisions, threaded through the
-  /// Query/QueryLogged/QueryExplained paths by the helpers below.
+  /// One text query's resolved cache decisions (ResolveCache), read and
+  /// updated by the query lifecycle's probe, parse and store steps.
   struct CacheContext {
     QueryCache* cache = nullptr;  // null ⇒ no cache attached
     bool plan_on = false;
@@ -402,8 +406,16 @@ class Engine {
     uint64_t graph_epoch = 0;
     std::string canonical;  // CanonicalizeQueryText(query)
 
+    /// Whether `canonical` and `hash` were computed.
+    bool keyed() const { return plan_on || result_on; }
+
     /// Whether a successful evaluation's answer goes into the result cache.
     bool StoresResult() const { return result_on && epoch_known && !result_hit; }
+
+    ResultCacheKey ResultKey(const std::string& graph_name,
+                             const EvalOptions& options) const {
+      return {hash, graph_name, graph_epoch, EvalOptionsFingerprint(options)};
+    }
 
     /// The query log's cache-outcome token ("" ⇒ no cache attached).
     const char* LogOutcome() const {
@@ -412,6 +424,15 @@ class Engine {
       if (result_hit) return "result_hit";
       if (plan_hit) return "plan_hit";
       return "miss";
+    }
+
+    /// EXPLAIN's cache line, e.g. "plan=hit result=live" (EXPLAIN never
+    /// serves a cached answer, so the result side is live or off).
+    std::string ExplainNote() const {
+      if (bypass) return "bypass";
+      return std::string("plan=") +
+             (!plan_on ? "off" : plan_hit ? "hit" : "miss") +
+             " result=" + (result_on ? "live" : "off");
     }
   };
 
@@ -423,30 +444,15 @@ class Engine {
   CacheContext ResolveCache(std::string_view query,
                             const EvalOptions& options) const;
 
-  /// Result-cache probe. Reads the graph's epoch *before* evaluation (the
-  /// engine's no-writes-during-queries contract makes that the epoch the
-  /// evaluation sees) and returns the shared cached set on a hit. An
-  /// unknown graph turns result caching off and lets the normal path
-  /// surface NotFound.
-  std::shared_ptr<const MappingSet> CacheResultLookup(
-      CacheContext* cc, const std::string& graph_name,
-      const EvalOptions& options);
-
   /// Parse via the plan cache: a hit returns the shared immutable pattern
   /// (and its precomputed fragment, when `fragment` is non-null) without
   /// touching the parser; a miss parses and installs the new plan.
   Result<PatternPtr> ParseCached(CacheContext* cc, std::string_view query,
                                  std::string* fragment);
 
-  /// Installs a successful evaluation's result under the epoch read by
-  /// CacheResultLookup. Callers check cc.StoresResult() first.
-  void CacheStoreResult(const CacheContext& cc, const std::string& graph_name,
-                        const EvalOptions& options,
-                        std::shared_ptr<const MappingSet> result);
-
-  /// A text query's answer, as Query, Ask, QueryCsv and QueryJson read it:
-  /// shared with the result cache (a hit, or a miss the cache was handed),
-  /// or owned when this query does not cache results.
+  /// A query's answer: shared with the result cache (a hit, or a miss the
+  /// cache was handed), or owned when this query does not cache results.
+  /// Ask, QueryCsv and QueryJson read it in place.
   struct Answer {
     std::shared_ptr<const MappingSet> shared;
     MappingSet owned;
@@ -454,64 +460,86 @@ class Engine {
     const MappingSet& set() const {
       return shared != nullptr ? *shared : owned;
     }
+    /// The caller's own set: a shared answer stays the cache's, so it is
+    /// copied once on the way out.
+    MappingSet Take() && {
+      return shared != nullptr ? MappingSet(*shared) : std::move(owned);
+    }
   };
 
-  /// Wraps a successful evaluation as its answer. When the query stores
-  /// results, the (already detached) set moves into a shared_ptr that the
-  /// cache keeps as is, so no copy is made.
-  Answer AnswerFrom(const CacheContext& cc, const std::string& graph_name,
-                    const EvalOptions& options, MappingSet result);
-
-  /// The text-query lifecycle behind Query, Ask, QueryCsv and QueryJson:
-  /// plan and result cache, parse, evaluate, and the query log when one is
-  /// attached. Returns the answer without copying it.
-  Result<Answer> QueryAnswer(const std::string& graph_name,
-                             std::string_view query, EvalOptions options);
+  /// The query lifecycle behind every public entry point. It resolves the
+  /// options, the cache and the in-flight slot once; probes the result
+  /// cache (text queries, never EXPLAIN); parses through the plan cache, or
+  /// takes Eval's `pattern` (non-null exactly for Eval); evaluates through
+  /// Evaluator::EvalChecked, under a Tracer when `explain` is non-null;
+  /// and fills one QueryLogRecord that the metrics, the query log, the
+  /// result-cache store and `*explain` all read. Eval writes no log record
+  /// and counts no engine.queries.
+  Result<Answer> Run(const std::string& graph_name, std::string_view query,
+                     const PatternPtr* pattern, EvalOptions options,
+                     QueryExplanation* explain);
 
   /// Folds the cache's lifetime stats into the registry: monotone
   /// engine.cache_{hit,miss,eviction,bypass} counters (delta-tracked, so
-  /// scrapes pay nothing per query) and live-size gauges. Called from
-  /// MetricsSnapshot.
+  /// queries pay nothing) and live-size gauges. Called only from
+  /// MetricsSnapshot, so between scrapes the registry holds the figures
+  /// of the last one.
   void RefreshCacheMetrics();
 
-  /// Applies the engine-wide thread default to per-query options.
+  /// Applies the engine-wide thread, limits and query-log defaults to
+  /// per-query options.
   EvalOptions WithEngineDefaults(EvalOptions options) const;
-
-  /// QueryAnswer() with a resolved QueryLog sink: same evaluation
-  /// pipeline, plus one record per query (parse failures and rejections
-  /// included). The measured eval_ns is the same value the engine.eval_ns
-  /// histogram observes, so log-side percentiles reproduce MetricsSnapshot
-  /// exactly.
-  Result<Answer> QueryLogged(const std::string& graph_name,
-                             std::string_view query, EvalOptions options,
-                             QueryLog* log);
 
   /// Recomputes the engine.graph_bytes / engine.graph_triples gauges after
   /// a graph mutation.
   void UpdateGraphGauges();
 
-  /// Folds one query's accountant figures into the registry (peak gauges,
-  /// total counter, per-query histograms).
-  void RecordAccounting(const ResourceAccountant& acct);
-
   /// Counts a governance rejection (always recorded — rejections are rare
   /// and the registry exists regardless of the metrics opt-in). When the
   /// slot says the watchdog did it, engine.queries_watchdog_cancelled is
   /// counted on top of the plain cancellation counter.
-  void RecordRejection(const Status& status, bool watchdog_cancelled = false);
+  void RecordRejection(const Status& status, bool watchdog_cancelled);
 
   /// Copies the registry's occupancy into gauges/counters (called from
   /// MetricsSnapshot so scrapes stay current at zero per-query cost).
   void RefreshInflightGauges();
 
   /// Observes the per-fragment eval-latency histogram when some alert rule
-  /// is scoped to `fragment`; no-op (one pointer test) otherwise.
+  /// is scoped to `fragment`; one map lookup otherwise.
   void ObserveFragmentLatency(const std::string& fragment, uint64_t eval_ns);
+
+  /// The engine's per-query registry handles, looked up by the first
+  /// EnableMetrics(true); null before it.
+  struct MetricHandles {
+    Counter* queries = nullptr;
+    Histogram* parse_ns = nullptr;
+    Histogram* eval_ns = nullptr;
+    Gauge* peak_mappings = nullptr;
+    Gauge* peak_bytes = nullptr;
+    Counter* total_mappings = nullptr;
+    Histogram* peak_mappings_per_query = nullptr;
+    Histogram* peak_bytes_per_query = nullptr;
+  };
+
+  /// The rejection counters, looked up at the first rejection (metrics on
+  /// or off), so a default engine's registry holds none of them.
+  struct RejectionCounters {
+    Counter* rejected = nullptr;
+    Counter* deadline_exceeded = nullptr;
+    Counter* cancelled = nullptr;
+    Counter* watchdog_cancelled = nullptr;
+  };
 
   Dictionary dict_;
   std::map<std::string, Graph> graphs_;
   MetricsRegistry metrics_;
   bool collect_metrics_ = false;
+  MetricHandles handles_;
+  std::once_flag rejections_once_;
+  RejectionCounters rejections_;
+  // engine.eval_ns{fragment=F} for every fragment F an installed alert rule
+  // is scoped to, looked up once by SetAlertRules.
+  std::map<std::string, Histogram*, std::less<>> fragment_eval_ns_;
   QueryLog* default_query_log_ = nullptr;
   ResourceLimits default_limits_;
   int default_threads_ = 1;

@@ -30,7 +30,15 @@ const char* PatternOpName(PatternKind kind) {
   return "?";
 }
 
-void Evaluator::InitPool() {
+void Evaluator::Init() {
+  if (MetricsRegistry* m = options_.metrics) {
+    counters_.nodes = m->GetCounter("eval.nodes");
+    counters_.join_probes = m->GetCounter("eval.join_probes");
+    counters_.index_probes = m->GetCounter("eval.index_probes");
+    counters_.ns_pairs_compared = m->GetCounter("eval.ns_pairs_compared");
+    counters_.filter_evals = m->GetCounter("eval.filter_evals");
+    counters_.mappings_out = m->GetCounter("eval.mappings_out");
+  }
   if (options_.threads <= 1) return;
   if (options_.pool != nullptr) {
     pool_ = options_.pool;
@@ -301,13 +309,13 @@ MappingSet Evaluator::EvalNodeObserved(const Pattern& p) const {
   }
   counters.mappings_out = result.size();
   counters.AttachTo(&span);
-  if (MetricsRegistry* m = options_.metrics) {
-    m->GetCounter("eval.nodes")->Inc();
-    m->GetCounter("eval.join_probes")->Inc(counters.join_probes);
-    m->GetCounter("eval.index_probes")->Inc(counters.index_probes);
-    m->GetCounter("eval.ns_pairs_compared")->Inc(counters.ns_pairs_compared);
-    m->GetCounter("eval.filter_evals")->Inc(counters.filter_evals);
-    m->GetCounter("eval.mappings_out")->Inc(counters.mappings_out);
+  if (counters_.nodes != nullptr) {
+    counters_.nodes->Inc();
+    counters_.join_probes->Inc(counters.join_probes);
+    counters_.index_probes->Inc(counters.index_probes);
+    counters_.ns_pairs_compared->Inc(counters.ns_pairs_compared);
+    counters_.filter_evals->Inc(counters.filter_evals);
+    counters_.mappings_out->Inc(counters.mappings_out);
   }
   return result;
 }

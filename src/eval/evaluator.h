@@ -94,9 +94,9 @@ struct EvalOptions {
   /// Consumed by Engine::Query / Engine::QueryExplained (the evaluator
   /// itself never touches it): overrides the engine's default QueryLog for
   /// this query, mirroring the limits pattern — per-query value wins
-  /// wholesale. The engine writes one QueryLogRecord per query to the
-  /// resolved sink; null here with no engine default keeps the pre-log
-  /// code path bit for bit.
+  /// wholesale. The engine writes one QueryLogRecord per text query to the
+  /// resolved sink; null here with no engine default writes none, and the
+  /// query's lifecycle copies, hashes and times nothing for the log.
   QueryLog* query_log = nullptr;
   /// Consumed by the Engine's text-query entry points (the evaluator
   /// itself never touches them): per-query use of the engine's attached
@@ -143,7 +143,7 @@ class Evaluator {
           return graph->Match(s, p, o, fn);
         }),
         options_(options) {
-    InitPool();
+    Init();
   }
 
   /// Evaluates directly against the immutable CSR store.
@@ -153,7 +153,7 @@ class Evaluator {
           return graph->Match(s, p, o, fn);
         }),
         options_(options) {
-    InitPool();
+    Init();
   }
 
   /// ⟦P⟧G.
@@ -175,8 +175,9 @@ class Evaluator {
 
  private:
   Result<MappingSet> EvalGoverned(const PatternPtr& pattern, bool max) const;
-  /// Resolves options_.threads/pool into pool_ (see EvalOptions::pool).
-  void InitPool();
+  /// Resolves options_.threads/pool into pool_ (see EvalOptions::pool) and
+  /// options_.metrics into counters_.
+  void Init();
   MappingSet EvalNode(const Pattern& p) const;
   /// The uninstrumented operator dispatch (the hot path).
   MappingSet EvalNodeImpl(const Pattern& p) const;
@@ -207,8 +208,20 @@ class Evaluator {
   /// FILTER, ...); empty without options_.trace_dict.
   std::string NodeDetail(const Pattern& p) const;
 
+  /// The registry's eval.* counters, looked up once per Evaluator (each
+  /// lookup takes the registry mutex); all null without options_.metrics.
+  struct Counters {
+    Counter* nodes = nullptr;
+    Counter* join_probes = nullptr;
+    Counter* index_probes = nullptr;
+    Counter* ns_pairs_compared = nullptr;
+    Counter* filter_evals = nullptr;
+    Counter* mappings_out = nullptr;
+  };
+
   Matcher matcher_;
   EvalOptions options_;
+  Counters counters_;
   std::unique_ptr<ThreadPool> owned_pool_;
   /// Null on the serial path; the active pool when threads > 1.
   ThreadPool* pool_ = nullptr;

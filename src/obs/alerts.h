@@ -209,6 +209,10 @@ class AlertEngine {
   /// per-fragment latency histogram only for those.
   bool WantsFragment(std::string_view fragment) const;
   bool wants_fragments() const { return !fragments_.empty(); }
+  /// Every fragment some rule is scoped to.
+  const std::set<std::string, std::less<>>& fragments() const {
+    return fragments_;
+  }
 
   /// Evaluates every rule against `history` at `now_ms`, advancing state
   /// machines and logging transitions. Called by the telemetry tick.

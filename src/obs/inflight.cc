@@ -22,8 +22,6 @@ uint64_t SteadyNowNs() {
           .count());
 }
 
-thread_local InflightSlot* tls_current_slot = nullptr;
-
 /// "1.2s" / "345ms" — compact wall-time for the .ps table.
 std::string FormatWall(uint64_t ns) {
   char buf[32];
@@ -206,28 +204,13 @@ std::string InflightSnapshot::ToText() const {
 }
 
 InflightScope::InflightScope(InflightRegistry* registry, std::string_view graph,
-                             std::string_view query, uint64_t query_hash) {
-  if (registry == nullptr) return;
-  if (tls_current_slot != nullptr) {
-    // Nested engine entry point (e.g. Query -> Eval): borrow the slot the
-    // outer scope registered instead of showing the query twice.
-    slot_ = tls_current_slot;
-    return;
-  }
-  slot_ = registry->Register(graph, query, query_hash);
-  if (slot_ != nullptr) {
-    registry_ = registry;
-    owned_ = true;
-    tls_current_slot = slot_;
-  }
+                             std::string_view query, uint64_t query_hash)
+    : registry_(registry) {
+  if (registry != nullptr) slot_ = registry->Register(graph, query, query_hash);
 }
 
 InflightScope::~InflightScope() {
-  if (!owned_) return;
-  tls_current_slot = nullptr;
-  registry_->Unregister(slot_);
+  if (slot_ != nullptr) registry_->Unregister(slot_);
 }
-
-InflightSlot* InflightScope::CurrentSlot() { return tls_current_slot; }
 
 }  // namespace rdfql

@@ -173,10 +173,8 @@ class InflightRegistry {
   std::atomic<uint64_t> watchdog_cancelled_total_{0};
 };
 
-/// RAII registration used by the engine. Construction with a null registry
-/// is a no-op (monitoring disabled). Nested engine entry points on the same
-/// thread (Query -> Eval) reuse the already-registered slot instead of
-/// double-registering, tracked through a thread-local current-slot pointer.
+/// RAII registration used by the engine's query lifecycle, one per query.
+/// Construction with a null registry is a no-op (monitoring disabled).
 class InflightScope {
  public:
   InflightScope(InflightRegistry* registry, std::string_view graph,
@@ -185,17 +183,13 @@ class InflightScope {
   InflightScope(const InflightScope&) = delete;
   InflightScope& operator=(const InflightScope&) = delete;
 
-  /// The slot this scope owns or borrowed; null when monitoring is off or
-  /// the registry was full.
+  /// The registered slot; null when monitoring is off or the registry was
+  /// full.
   InflightSlot* slot() const { return slot_; }
-
-  /// The slot registered by an enclosing scope on this thread, if any.
-  static InflightSlot* CurrentSlot();
 
  private:
   InflightRegistry* registry_ = nullptr;
   InflightSlot* slot_ = nullptr;
-  bool owned_ = false;
 };
 
 }  // namespace rdfql

@@ -2,12 +2,13 @@
 #define RDFQL_OBS_JSON_UTIL_H_
 
 // Internal hand-rolled JSON building blocks shared by the obs serializers
-// (telemetry snapshots, history samples, alert rules/logs). The repo keeps
-// its no-dependency discipline: emitters append exact field sequences, and
-// parsers are strict cursors that accept what the emitters write — plus, in
-// the one user-authored format (alert rules), arbitrary key order. Born as
-// file-local helpers in telemetry.cc; factored out once three .cc files
-// needed the same primitives.
+// (telemetry snapshots, history samples, alert rules/logs, query-log
+// records). The repo keeps its no-dependency discipline: emitters append
+// exact field sequences, and parsers are strict cursors that accept what
+// the emitters write — plus arbitrary key order in the user-authored alert
+// rules and in query-log records, whose reader skips unknown keys for
+// forward compatibility. Born as file-local helpers in telemetry.cc;
+// factored out once three .cc files needed the same primitives.
 //
 // Emit helpers share the `bool* first` comma protocol: the caller seeds
 // `first = true` after an opening brace and every Append* inserts the
@@ -15,6 +16,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -152,6 +154,9 @@ class JsonParser {
     return Eat(':');
   }
 
+  /// Fails on a value above UINT64_MAX instead of wrapping: these readers
+  /// take files other processes write, and a wrapped figure would pass for
+  /// a real one.
   bool ParseUint(uint64_t* out) {
     SkipWs();
     if (pos_ >= text_.size() ||
@@ -161,19 +166,24 @@ class JsonParser {
     uint64_t v = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
+      uint64_t digit = static_cast<uint64_t>(text_[pos_++] - '0');
+      if (v > (UINT64_MAX - digit) / 10) return false;
+      v = v * 10 + digit;
     }
     *out = v;
     return true;
   }
 
+  /// Fails outside [INT64_MIN, INT64_MAX], like ParseUint.
   bool ParseInt(int64_t* out) {
     SkipWs();
     bool negative = pos_ < text_.size() && text_[pos_] == '-';
     if (negative) ++pos_;
     uint64_t v = 0;
     if (!ParseUint(&v)) return false;
-    *out = negative ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+    uint64_t max = negative ? uint64_t{1} << 63 : uint64_t{INT64_MAX};
+    if (v > max) return false;
+    *out = negative ? static_cast<int64_t>(0 - v) : static_cast<int64_t>(v);
     return true;
   }
 

@@ -2,32 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cstring>
+
+#include "obs/json_util.h"
 
 namespace rdfql {
 namespace {
-
-void AppendStringField(const char* key, std::string_view value, bool* first,
-                       std::string* out) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\":\"");
-  AppendJsonEscaped(value, out);
-  out->push_back('"');
-}
-
-void AppendUintField(const char* key, uint64_t value, bool* first,
-                     std::string* out) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-  out->append(std::to_string(value));
-}
 
 /// Pretty duration for the text report (mirrors the EXPLAIN phase style).
 std::string NsString(double ns) {
@@ -63,126 +42,6 @@ std::string Truncated(const std::string& s, size_t max) {
   if (s.size() <= max) return s;
   return s.substr(0, max) + "...";
 }
-
-// --- A strict parser for the flat JSON objects QueryLogRecordToJson
-// emits: string, unsigned-integer and boolean values only, one object per
-// line. Kept private to the log: bench JSON has its own reader and the two
-// grammars should be free to drift apart.
-
-class LineParser {
- public:
-  explicit LineParser(std::string_view text) : text_(text) {}
-
-  bool Fail(std::string* error, const std::string& message) {
-    if (error != nullptr) {
-      *error = message + " near offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out->push_back(esc);
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            // Our emitter only \u-escapes control characters.
-            out->push_back(code < 0x80 ? static_cast<char>(code) : '?');
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  bool ParseUint(uint64_t* out) {
-    SkipWs();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    *out = std::strtoull(std::string(text_.substr(start, pos_ - start)).c_str(),
-                         nullptr, 10);
-    return true;
-  }
-
-  bool Literal(std::string_view lit) {
-    SkipWs();
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 // Streams the canonical form of `query` (comments dropped, whitespace
 // runs collapsed, `<...>`/`"..."` spans preserved verbatim) into `emit`,
@@ -245,33 +104,33 @@ uint64_t StableQueryHash(std::string_view query) {
 }
 
 std::string QueryLogRecordToJson(const QueryLogRecord& r) {
+  using jsonutil::AppendString;
+  using jsonutil::AppendUint;
   std::string out = "{";
   bool first = true;
-  AppendUintField("v", 1, &first, &out);
-  AppendUintField("id", r.correlation_id, &first, &out);
-  AppendUintField("hash", r.query_hash, &first, &out);
-  AppendUintField("unix_ms", r.unix_ms, &first, &out);
-  AppendStringField("graph", r.graph, &first, &out);
-  AppendStringField("query", r.query, &first, &out);
-  AppendStringField("fragment", r.fragment, &first, &out);
-  AppendStringField("outcome", r.outcome, &first, &out);
-  if (!r.error.empty()) AppendStringField("error", r.error, &first, &out);
-  AppendUintField("parse_ns", r.parse_ns, &first, &out);
+  AppendUint("v", 1, &first, &out);
+  AppendUint("id", r.correlation_id, &first, &out);
+  AppendUint("hash", r.query_hash, &first, &out);
+  AppendUint("unix_ms", r.unix_ms, &first, &out);
+  AppendString("graph", r.graph, &first, &out);
+  AppendString("query", r.query, &first, &out);
+  AppendString("fragment", r.fragment, &first, &out);
+  AppendString("outcome", r.outcome, &first, &out);
+  if (!r.error.empty()) AppendString("error", r.error, &first, &out);
+  AppendUint("parse_ns", r.parse_ns, &first, &out);
   if (r.optimize_ns != 0) {
-    AppendUintField("optimize_ns", r.optimize_ns, &first, &out);
+    AppendUint("optimize_ns", r.optimize_ns, &first, &out);
   }
-  AppendUintField("eval_ns", r.eval_ns, &first, &out);
-  AppendUintField("rows_out", r.rows_out, &first, &out);
-  AppendUintField("total_mappings", r.total_mappings, &first, &out);
-  AppendUintField("peak_mappings", r.peak_mappings, &first, &out);
-  AppendUintField("peak_bytes", r.peak_bytes, &first, &out);
-  AppendUintField("threads", static_cast<uint64_t>(r.threads), &first, &out);
-  if (!r.cache.empty()) AppendStringField("cache", r.cache, &first, &out);
+  AppendUint("eval_ns", r.eval_ns, &first, &out);
+  AppendUint("rows_out", r.rows_out, &first, &out);
+  AppendUint("total_mappings", r.total_mappings, &first, &out);
+  AppendUint("peak_mappings", r.peak_mappings, &first, &out);
+  AppendUint("peak_bytes", r.peak_bytes, &first, &out);
+  AppendUint("threads", static_cast<uint64_t>(r.threads), &first, &out);
+  if (!r.cache.empty()) AppendString("cache", r.cache, &first, &out);
   if (r.slow) {
-    out += ",\"slow\":true";
-    if (!r.explain.empty()) {
-      AppendStringField("explain", r.explain, &first, &out);
-    }
+    jsonutil::AppendBool("slow", true, &first, &out);
+    if (!r.explain.empty()) AppendString("explain", r.explain, &first, &out);
   }
   out.push_back('}');
   return out;
@@ -281,13 +140,12 @@ bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
                        std::string* error) {
   *out = QueryLogRecord{};
   bool saw_version = false;
-  LineParser p(line);
+  jsonutil::JsonParser p(line);
   if (!p.Eat('{')) return p.Fail(error, "expected '{'");
   if (!p.Peek('}')) {
     while (true) {
       std::string key;
-      if (!p.ParseString(&key)) return p.Fail(error, "expected key string");
-      if (!p.Eat(':')) return p.Fail(error, "expected ':'");
+      if (!p.NextKey(&key)) return p.Fail(error, "expected \"key\":");
       bool ok = true;
       uint64_t n = 0;
       if (key == "v") {
@@ -310,7 +168,6 @@ bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
       } else if (key == "fragment") {
         ok = p.ParseString(&out->fragment);
       } else if (key == "outcome") {
-        out->outcome.clear();
         ok = p.ParseString(&out->outcome);
       } else if (key == "error") {
         ok = p.ParseString(&out->error);
@@ -334,20 +191,15 @@ bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
       } else if (key == "cache") {
         ok = p.ParseString(&out->cache);
       } else if (key == "slow") {
-        if (p.Literal("true")) {
-          out->slow = true;
-        } else if (p.Literal("false")) {
-          out->slow = false;
-        } else {
-          ok = false;
-        }
+        ok = p.ParseBool(&out->slow);
       } else if (key == "explain") {
         ok = p.ParseString(&out->explain);
       } else {
-        // Unknown key: skip a string or unsigned value (forward compat).
+        // Unknown key: skip a string, unsigned or boolean value (forward
+        // compat).
         std::string skip_s;
-        ok = p.ParseString(&skip_s) || p.ParseUint(&n) ||
-             p.Literal("true") || p.Literal("false");
+        bool skip_b = false;
+        ok = p.ParseString(&skip_s) || p.ParseUint(&n) || p.ParseBool(&skip_b);
       }
       if (!ok) return p.Fail(error, "bad value for key \"" + key + "\"");
       if (p.Eat(',')) continue;

@@ -194,12 +194,17 @@ TEST(AlertsTest, TransitionJsonRoundTrips) {
 TEST(AlertsTest, ParseAlertLogLineRejectsMalformedRecords) {
   AlertTransition t = SampleTransition();
   t.state = "exploded";
+  // A well-formed record whose unix_ms is 2^64: out of range, so it must
+  // not wrap to 0.
+  std::string overflow = SampleTransition().ToJson();
+  overflow.replace(overflow.find("1700000002000"), 13, "18446744073709551616");
   std::vector<std::string> cases = {
       "",
       "{}",
       t.ToJson(),  // unknown state
       SampleTransition().ToJson().substr(0, 30),
       SampleTransition().ToJson() + "x",
+      overflow,
   };
   for (const std::string& line : cases) {
     AlertTransition parsed;

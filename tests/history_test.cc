@@ -54,6 +54,10 @@ TEST(HistorySampleTest, EmptySampleRoundTrips) {
 }
 
 TEST(HistorySampleTest, ParseRejectsMalformedLines) {
+  // A well-formed sample whose unix_ms is 2^64: out of range, so it must
+  // not wrap to 0.
+  std::string overflow = FullSample().ToJson();
+  overflow.replace(overflow.find("1700000001000"), 13, "18446744073709551616");
   std::vector<std::string> cases = {
       "",
       "{}",
@@ -62,6 +66,7 @@ TEST(HistorySampleTest, ParseRejectsMalformedLines) {
       "{\"unix_ms\":1,\"v\":1}",          // header order is strict
       FullSample().ToJson().substr(0, 40),  // truncated
       FullSample().ToJson() + "x",          // trailing content
+      overflow,
   };
   for (const std::string& line : cases) {
     HistorySample parsed;

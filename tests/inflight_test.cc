@@ -116,32 +116,9 @@ TEST(InflightRegistryTest, FullRegistryReturnsNull) {
   EXPECT_NE(reg.Register("g", "q", 0), nullptr);
 }
 
-TEST(InflightScopeTest, NestedScopesBorrowTheOuterSlot) {
-  InflightRegistry reg;
-  EXPECT_EQ(InflightScope::CurrentSlot(), nullptr);
-  {
-    InflightScope outer(&reg, "g", "outer", 1);
-    ASSERT_NE(outer.slot(), nullptr);
-    EXPECT_EQ(InflightScope::CurrentSlot(), outer.slot());
-    {
-      InflightScope inner(&reg, "g", "inner", 2);
-      EXPECT_EQ(inner.slot(), outer.slot());
-      EXPECT_EQ(reg.active(), 1u);
-      // The borrowed registration keeps the outer query's identity.
-      EXPECT_EQ(reg.Snapshot().queries[0].query, "outer");
-    }
-    // Inner scope destruction must not unregister the outer slot.
-    EXPECT_EQ(reg.active(), 1u);
-    EXPECT_EQ(InflightScope::CurrentSlot(), outer.slot());
-  }
-  EXPECT_EQ(reg.active(), 0u);
-  EXPECT_EQ(InflightScope::CurrentSlot(), nullptr);
-}
-
 TEST(InflightScopeTest, NullRegistryIsANoOp) {
   InflightScope scope(nullptr, "g", "q", 1);
   EXPECT_EQ(scope.slot(), nullptr);
-  EXPECT_EQ(InflightScope::CurrentSlot(), nullptr);
 }
 
 // --- Engine integration ---

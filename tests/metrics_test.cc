@@ -189,6 +189,52 @@ TEST(EngineMetricsTest, QueryRecordsPhaseTimingsAndOperatorWork) {
   EXPECT_EQ(engine.MetricsSnapshot().counters.at("engine.queries"), 0u);
 }
 
+uint64_t HistogramCount(const RegistrySnapshot& snap, const char* name) {
+  auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+// engine.parse_ns is observed exactly once whenever the parse step ran,
+// failed parses included, on every text entry point and with or without a
+// query log — the figure the log record's parse_ns carries.
+TEST(EngineMetricsTest, ParseNsObservedOnceWheneverTheParseStepRan) {
+  struct Case {
+    const char* name;
+    bool logged;
+    bool explained;
+    const char* graph;
+    const char* query;
+  };
+  const Case cases[] = {
+      {"Query, parse error, logged", true, false, "g", "(?x p"},
+      {"Query, parse error, unlogged", false, false, "g", "(?x p"},
+      {"QueryExplained, parse error", false, true, "g", "(?x p"},
+      {"QueryExplained, unknown graph", false, true, "nosuch", "(?x p ?y)"},
+      {"Query, unknown graph", false, false, "nosuch", "(?x p ?y)"},
+  };
+  for (const Case& c : cases) {
+    Engine engine;
+    ASSERT_TRUE(engine.LoadGraphText("g", "a p b .").ok());
+    engine.EnableMetrics();
+    QueryLog log;
+    if (c.logged) engine.SetQueryLog(&log);
+    bool ok = c.explained ? engine.QueryExplained(c.graph, c.query).ok()
+                          : engine.Query(c.graph, c.query).ok();
+    EXPECT_FALSE(ok) << c.name;
+    RegistrySnapshot snap = engine.MetricsSnapshot();
+    EXPECT_EQ(HistogramCount(snap, "engine.parse_ns"), 1u) << c.name;
+    EXPECT_EQ(HistogramCount(snap, "engine.eval_ns"), 0u) << c.name;
+    EXPECT_EQ(snap.counters["engine.queries"], 1u) << c.name;
+    if (c.logged) {
+      ASSERT_EQ(log.Snapshot().size(), 1u) << c.name;
+      EXPECT_EQ(log.Snapshot()[0].parse_ns,
+                snap.histograms.at("engine.parse_ns").sum)
+          << c.name;
+    }
+    engine.SetQueryLog(nullptr);
+  }
+}
+
 TEST(EngineMetricsTest, DisabledByDefault) {
   Engine engine;
   ASSERT_TRUE(engine.LoadGraphText("g", "a p b .").ok());

@@ -71,6 +71,17 @@ TEST(QueryLogRecordTest, JsonRoundTripPreservesEveryField) {
 
   std::string line = QueryLogRecordToJson(r);
   EXPECT_EQ(line.find('\n'), std::string::npos);  // one record, one line
+  // The on-disk bytes are a format: readers of older logs depend on them.
+  EXPECT_EQ(line,
+            R"({"v":1,"id":42,"hash":12638204792741693372,)"
+            R"("unix_ms":1754350000000,"graph":"g\"raph",)"
+            R"("query":"(?x \\ \"p\" ?y)\nline2","fragment":"SPARQL[AOF]",)"
+            R"("outcome":"resource_exhausted",)"
+            R"("error":"live mappings 1001 > 1000","parse_ns":123,)"
+            R"("optimize_ns":456,"eval_ns":789,"rows_out":7,)"
+            R"("total_mappings":99,"peak_mappings":55,"peak_bytes":4040,)"
+            R"("threads":8,"cache":"result_hit","slow":true,)"
+            R"("explain":"AND [rows=7]\n  triple [rows=2]"})");
 
   QueryLogRecord back;
   std::string error;
@@ -174,6 +185,8 @@ TEST(QueryLogRecordTest, MalformedLinesAreRejected) {
            "{\"v\":1,\"outcome\":\"ok\"} trailing",  // bytes after object
            "{\"v\":1,\"outcome\":\"ok\"",            // unterminated
            "{\"v\":1,\"outcome\":\"ok\",\"eval_ns\":\"abc\"}",  // bad number
+           // 2^64: out of range, must not saturate or wrap.
+           "{\"v\":1,\"outcome\":\"ok\",\"eval_ns\":18446744073709551616}",
        }) {
     error.clear();
     EXPECT_FALSE(ParseQueryLogLine(bad, &out, &error)) << bad;
