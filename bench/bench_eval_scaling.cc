@@ -99,7 +99,8 @@ BENCHMARK(BM_FragmentWdAof)->RangeMultiplier(4)->Range(64, 4096);
 BENCHMARK(BM_FragmentSP)->RangeMultiplier(4)->Range(64, 4096);
 BENCHMARK(BM_FragmentUSP)->RangeMultiplier(4)->Range(64, 4096);
 
-// Join ablation on the join-heaviest query.
+// Join ablation on the AUF query: it joins a UNION of two scans with one
+// scan, so it makes no large×large join.
 void BM_JoinHash(benchmark::State& state) {
   EvalOptions options;
   options.join = EvalOptions::Join::kHash;

@@ -18,20 +18,23 @@ endif()
 set(folded "${OUT_DIR}/profiler_smoke.folded")
 
 # A hub graph (200 spokes in, 200 out) makes (?x p ?y) AND (?y p ?z) a
-# 40k-row hash join with heavy probe chunks, so the join parallelizes
-# (probe >= the kernel's min input) and ParallelFor callers actually block
-# at the barrier: four spawned copies plus a foreground one against a
-# 4-thread pool yield samples in evaluator frames, in pool_task chunks,
-# and in pool_queue_wait. A disjoint-edge graph would not work — its
-# cross product falls back to the serial nested loop and never touches
-# the pool.
+# 40k-row hash join. Each spawned query is a MINUS of two such joins: the
+# evaluator runs the two sides of a MINUS as two pool tasks, so the caller
+# finishes one join and then blocks at the ParallelFor barrier while the
+# other runs, and the MINUS itself is cheap (the sides share no variable,
+# so the first right row removes each left row). Four spawned copies plus
+# a foreground join against a 4-thread pool yield samples in evaluator
+# frames, in pool_task frames and in pool_queue_wait. The join kernel is
+# serial, and a UNION of the joins would not do: the shell collects
+# metrics, and on that path a UNION evaluates its sides in turn.
 set(script "")
 foreach(i RANGE 1 200)
   string(APPEND script "triple g s${i} p h\n")
   string(APPEND script "triple g h p t${i}\n")
 endforeach()
 foreach(i RANGE 1 4)
-  string(APPEND script "spawn g ((?x p ?y) AND (?y p ?z))\n")
+  string(APPEND script
+         "spawn g ((?x p ?y) AND (?y p ?z)) MINUS ((?a p ?b) AND (?b p ?c))\n")
 endforeach()
 string(APPEND script "query g (?x p ?y) AND (?y p ?z)\n")
 string(APPEND script ".wait\n")

@@ -17,7 +17,8 @@
 //   graphs                     list loaded graphs
 //   spawn <graph> <pattern>    run a query on a background thread (a job)
 //   .jobs                      list spawned jobs and their outcomes
-//   .wait                      join every spawned job
+//   .wait                      join every spawned job (load, triple,
+//                              insertwhere and deletewhere refuse until then)
 //   .sleep <ms>                pause the script (lets jobs make progress)
 //   .ps                        in-flight query table (live registry)
 //   .stats                     workload report over this session's queries
@@ -100,6 +101,17 @@ struct Job {
 std::vector<std::unique_ptr<Job>>& Jobs() {
   static std::vector<std::unique_ptr<Job>> jobs;
   return jobs;
+}
+
+/// Whether some spawned job has not been joined by `.wait` yet. Its query
+/// may still be reading any graph, so the commands that write graphs refuse
+/// until then. Joined, not finished, is the test, so a script's outcome
+/// does not depend on how fast its jobs run.
+bool JobsUnjoined() {
+  for (const std::unique_ptr<Job>& job : Jobs()) {
+    if (job->thread.joinable()) return true;
+  }
+  return false;
 }
 
 void JoinJobs(bool print) {
@@ -340,6 +352,14 @@ bool HandleLine(Engine* engine, const std::string& raw) {
     std::printf("(use load/triple to create graphs)\n");
     return true;
   }
+  if ((cmd == "load" || cmd == "triple" || cmd == "insertwhere" ||
+       cmd == "deletewhere") &&
+      JobsUnjoined()) {
+    std::printf("error: %s refused: spawned jobs may still read the graphs; "
+                "run .wait first\n",
+                cmd.c_str());
+    return true;
+  }
   std::string graph;
   if (cmd == "load") {
     std::string file;
@@ -378,7 +398,7 @@ bool HandleLine(Engine* engine, const std::string& raw) {
     std::string graph_copy = graph;
     std::string text = job->query;
     // Reads-only against the engine: safe to run concurrently with other
-    // queries, but don't load/mutate graphs while jobs are in flight.
+    // queries. The graph-writing commands refuse until `.wait` joins it.
     job->thread = std::thread([engine, j, graph_copy, text] {
       rdfql::Result<rdfql::MappingSet> r = engine->Query(graph_copy, text);
       j->outcome = r.ok() ? "ok rows=" + std::to_string(r->size())

@@ -5,7 +5,9 @@
 # miss and a warm hit that serialize the cached answer in place, and once
 # more after an insert replaces that answer's cache slot; every byte they
 # print is checked (under ASan in CI, this covers the shared answer's
-# lifetime).
+# lifetime). Last, a `triple` after `spawn` must be refused with an error
+# naming `.wait` and change nothing, and the same command after `.wait`
+# must land; those bytes are checked too.
 #
 # Run as: cmake -DSHELL=<path to rdfql_shell> -DOUT_DIR=<scratch dir>
 #               -P shell_smoke.cmake
@@ -34,6 +36,11 @@ set(lines
   "ask g (?x was_born_in Chile)"
   "triple g Pedro was_born_in Chile"
   "json g (?x was_born_in Chile)"
+  "spawn g (?x was_born_in ?c)"
+  "triple g Refused was_born_in Peru"
+  ".wait"
+  "triple g Maria was_born_in Peru"
+  "csv g (?x was_born_in Peru)"
   "quit")
 string(JOIN "\n" script ${lines})
 file(WRITE "${OUT_DIR}/shell_smoke_input.txt" "${script}\n")
@@ -76,5 +83,16 @@ string(FIND "${out}" "${expected}" at)
 if(at EQUAL -1)
   message(FATAL_ERROR
           "expected the json/csv/ask answers, exactly:\n${expected}\n"
+          "got:\n${out}")
+endif()
+
+# Graph writes wait for `.wait`: the refused insert leaves no trace, and the
+# one after `.wait` is the only Peru row.
+set(jobs_expected
+    "job 1 spawned\nerror: triple refused: spawned jobs may still read the graphs; run .wait first\njob 1: ok rows=3  # (?x was_born_in ?c)\nok\nx\nMaria\n")
+string(FIND "${out}" "${jobs_expected}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR
+          "expected the spawn/.wait write guard, exactly:\n${jobs_expected}\n"
           "got:\n${out}")
 endif()

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Race-checks the parallel evaluator under ThreadSanitizer: configures a
 # separate build tree with -DRDFQL_SANITIZE=thread and runs the tests that
-# exercise the thread pool, the partitioned join/minus kernels, parallel NS
-# pruning, the concurrent subtree evaluation, the sharded query cache
-# (hit/miss/eviction races, epoch invalidation), the live-monitoring
-# surface (in-flight registry, telemetry sampler, watchdog cancellation —
-# all inherently cross-thread), and the sampling profiler (tag-stack
-# snapshots racing pushes, sampler start/stop racing thread
+# exercise the thread pool, the concurrent subtree evaluation, the
+# resource caps at 1, 2 and 8 threads (a cap must hold at every thread
+# count, with pool workers charging the coordinator's accountant), the
+# sharded query cache (hit/miss/eviction races, epoch invalidation), the
+# live-monitoring surface (in-flight registry, telemetry sampler, watchdog
+# cancellation — all inherently cross-thread), and the sampling profiler
+# (tag-stack snapshots racing pushes, sampler start/stop racing thread
 # registration, timed-lock contention accounting), and the alerting stack
 # (history ring records racing window queries, alert evaluation on the
 # sampler thread racing query traffic, watchdog escalation reads), and the
@@ -22,13 +23,13 @@ cmake --build build-tsan --target \
   thread_pool_test parallel_sweeps_test mapping_set_test ns_test \
   evaluator_test engine_test inflight_test telemetry_test \
   query_cache_test profiler_test history_test alerts_test \
-  query_log_test metrics_test query_lifecycle_test || exit 1
+  query_log_test metrics_test query_lifecycle_test limits_test || exit 1
 
 # halt_on_error: fail the run on the first report instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

@@ -7,37 +7,16 @@
 #include "obs/tracer.h"
 #include "util/check.h"
 #include "util/limits.h"
-#include "util/thread_pool.h"
 
 namespace rdfql {
 namespace {
 
 // How many units of work (a probe-side row, or one candidate it examines)
-// a serial kernel runs between cooperative checkpoints. Power of two so the
+// a kernel runs between cooperative checkpoints. Power of two so the
 // per-candidate tests compile to a mask; small enough that a tripped token
 // stops a quadratic scan promptly, large enough that the ungoverned cost (a
 // relaxed load) vanishes in the loop body.
 constexpr uint64_t kCheckpointStride = 1024;
-
-// Below this many probe-side mappings the fork/join overhead outweighs the
-// work; the kernels stay serial. The threshold only affects scheduling,
-// never results — outputs are scheduling-independent.
-constexpr size_t kParallelKernelMinInput = 64;
-
-// Chunk layout for a parallel kernel: `chunks` contiguous ranges covering
-// [0, n), each at least kParallelKernelMinInput/2 long, at most 4 per
-// thread so the atomic claim cursor balances uneven chunks.
-size_t NumChunks(size_t n, int threads) {
-  size_t by_threads = static_cast<size_t>(threads) * 4;
-  size_t by_size = n / (kParallelKernelMinInput / 2);
-  size_t chunks = std::min(by_threads, by_size);
-  return chunks < 2 ? 2 : chunks;
-}
-
-bool UseParallel(ThreadPool* pool, size_t n) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         n >= kParallelKernelMinInput;
-}
 
 // Whether a scan that has examined `visited` candidates for one probe row
 // may go on: polls the token every kCheckpointStride candidates, so a row
@@ -159,58 +138,25 @@ struct AllRows {
 // The one probe loop behind ⋈, ∖ and ⟕: runs `probe_row(row, emit)` for
 // every row of `rows`, in order, where `emit` takes a Mapping (by const
 // reference to copy it, by rvalue to move it) and `probe_row` returns the
-// join probes the row cost; the sum lands in the node's OpCounters.
-//
-// Serial, it emits straight into the result and polls for cancellation
-// every kCheckpointStride rows or probes. Pooled, contiguous chunks emit
-// into private vectors that are concatenated in chunk order and moved into
-// the result, so the insert sequence — hence content, order and counts —
-// is the serial one whatever the scheduling; each chunk polls once before
-// it starts, and once the token trips the rest become no-ops (the whole
-// result is discarded).
+// join probes the row cost; the sum lands in the node's OpCounters. Every
+// emitted row goes straight into the result, so the accountant charges it
+// at once, and the loop polls for cancellation every kCheckpointStride rows
+// or probes.
 template <typename ProbeRow>
-MappingSet ProbeRows(const MappingSet& rows, ThreadPool* pool,
-                     ProbeRow&& probe_row) {
-  const std::vector<Mapping>& rs = rows.mappings();
+MappingSet ProbeRows(const MappingSet& rows, ProbeRow&& probe_row) {
   MappingSet out;
+  auto emit = [&out](auto&& m) { out.Add(std::forward<decltype(m)>(m)); };
   uint64_t probes = 0;
-  if (UseParallel(pool, rs.size())) {
-    size_t chunks = NumChunks(rs.size(), pool->num_threads());
-    std::vector<std::vector<Mapping>> results(chunks);
-    std::vector<uint64_t> chunk_probes(chunks, 0);
-    pool->ParallelFor(chunks, [&](size_t c) {
-      if (!CooperativeCheckpoint()) return;
-      std::vector<Mapping>& local = results[c];
-      auto emit = [&local](auto&& m) {
-        local.push_back(std::forward<decltype(m)>(m));
-      };
-      uint64_t local_probes = 0;
-      size_t hi = rs.size() * (c + 1) / chunks;
-      for (size_t i = rs.size() * c / chunks; i < hi; ++i) {
-        local_probes += probe_row(rs[i], emit);
-      }
-      chunk_probes[c] = local_probes;
-    });
-    size_t total = 0;
-    for (const std::vector<Mapping>& local : results) total += local.size();
-    out.Reserve(total);
-    for (size_t c = 0; c < chunks; ++c) {
-      probes += chunk_probes[c];
-      for (Mapping& m : results[c]) out.Add(std::move(m));
+  uint64_t work = 0;
+  uint64_t next_poll = kCheckpointStride;
+  for (const Mapping& row : rows) {
+    if (++work >= next_poll) {
+      if (!CooperativeCheckpoint()) break;
+      next_poll = work + kCheckpointStride;
     }
-  } else {
-    auto emit = [&out](auto&& m) { out.Add(std::forward<decltype(m)>(m)); };
-    uint64_t work = 0;
-    uint64_t next_poll = kCheckpointStride;
-    for (const Mapping& row : rs) {
-      if (++work >= next_poll) {
-        if (!CooperativeCheckpoint()) break;
-        next_poll = work + kCheckpointStride;
-      }
-      uint64_t row_probes = probe_row(row, emit);
-      probes += row_probes;
-      work += row_probes;
-    }
+    uint64_t row_probes = probe_row(row, emit);
+    probes += row_probes;
+    work += row_probes;
   }
   if (OpCounters* oc = ScopedOpCounters::Current()) oc->join_probes += probes;
   return out;
@@ -220,24 +166,17 @@ MappingSet ProbeRows(const MappingSet& rows, ThreadPool* pool,
 // non-empty `a` through ProbeRows, where `candidates` is a KeyTable on
 // non-empty `b` over the shared certain variables, or every row of `b` when
 // there are none.
-//
-// A pairwise scan that `emits_unions` (⟕'s) can emit |a|·|b| rows, so it
-// runs serially, as Join's JoinNestedLoop fallback does: pooled chunks
-// buffer their rows where the accountant cannot see them, and a mapping or
-// byte cap would only trip once the whole cross product existed. ∖ emits
-// at most |a| rows, so its scan stays pooled.
 template <typename ProbeRow>
 MappingSet ProbeAgainst(const MappingSet& a, const MappingSet& b,
-                        ThreadPool* pool, bool emits_unions,
                         ProbeRow&& probe_row) {
-  auto run = [&](const auto& candidates, ThreadPool* run_pool) {
-    return ProbeRows(a, run_pool, [&](const Mapping& row, auto& emit) {
+  auto run = [&](const auto& candidates) {
+    return ProbeRows(a, [&](const Mapping& row, auto& emit) {
       return probe_row(row, candidates, emit);
     });
   };
   std::vector<VarId> shared = SharedCertainVars(a, b);
-  if (shared.empty()) return run(AllRows{b}, emits_unions ? nullptr : pool);
-  return run(KeyTable(b, std::move(shared)), pool);
+  if (shared.empty()) return run(AllRows{b});
+  return run(KeyTable(b, std::move(shared)));
 }
 
 // Index slots hold (hash << 32) | (position + 1); 0 marks an empty slot.
@@ -377,14 +316,13 @@ void MappingSet::DetachAccounting() {
   acct_bytes_ = 0;
 }
 
-MappingSet MappingSet::Join(const MappingSet& a, const MappingSet& b,
-                            ThreadPool* pool) {
+MappingSet MappingSet::Join(const MappingSet& a, const MappingSet& b) {
   if (a.empty() || b.empty()) return MappingSet();
   std::vector<VarId> shared = SharedCertainVars(a, b);
   if (shared.empty()) return JoinNestedLoop(a, b);
   const bool a_builds = a.size() <= b.size();
   KeyTable table(a_builds ? a : b, std::move(shared));
-  return ProbeRows(a_builds ? b : a, pool,
+  return ProbeRows(a_builds ? b : a,
                    [&table](const Mapping& row, auto& emit) {
                      return table.ForEachCandidate(
                          row, [&](const Mapping& other) {
@@ -427,11 +365,10 @@ MappingSet MappingSet::UnionSets(const MappingSet& a, const MappingSet& b) {
   return out;
 }
 
-MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b,
-                             ThreadPool* pool) {
+MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b) {
   if (a.empty() || b.empty()) return a;
   return ProbeAgainst(
-      a, b, pool, /*emits_unions=*/false,
+      a, b,
       [](const Mapping& row, const auto& candidates, auto& emit) {
         bool matched = false;
         uint64_t probes =
@@ -444,11 +381,11 @@ MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b,
       });
 }
 
-MappingSet MappingSet::LeftOuterJoin(const MappingSet& a, const MappingSet& b,
-                                     ThreadPool* pool) {
+MappingSet MappingSet::LeftOuterJoin(const MappingSet& a,
+                                     const MappingSet& b) {
   if (a.empty() || b.empty()) return a;
   return ProbeAgainst(
-      a, b, pool, /*emits_unions=*/true,
+      a, b,
       [](const Mapping& row, const auto& candidates, auto& emit) {
         bool matched = false;
         uint64_t probes =

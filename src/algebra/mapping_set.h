@@ -10,8 +10,6 @@
 
 namespace rdfql {
 
-class ThreadPool;
-
 /// A set of mappings Ω, the result type of SPARQL graph-pattern evaluation.
 ///
 /// Set semantics with deterministic iteration order (insertion order) so
@@ -30,13 +28,11 @@ class ThreadPool;
 /// domains are handled. Inputs that share no certain variable fall back to
 /// the pairwise scan.
 ///
-/// With a non-null `pool` the probe side of ⋈, ∖ and ⟕ is split into
-/// contiguous chunks evaluated across the pool's threads; chunk outputs are
-/// concatenated in chunk order before the deduplicating insert, so the
-/// result — content *and* iteration order — and the probe counts are
-/// bit-for-bit the serial ones regardless of scheduling. A null pool (the
-/// default) is the serial path. The pairwise scans of ⋈ and ⟕ stay serial
-/// with a pool, so memory caps see a cross product's rows as they appear.
+/// The operators are serial and know nothing about threads: every row they
+/// emit is inserted at once, so the ResourceAccountant charges it as it
+/// appears and a memory cap trips mid-kernel, whatever the query's thread
+/// count. (Intra-query parallelism lives one level up, in the evaluator's
+/// concurrent subtrees.)
 class MappingSet {
  public:
   MappingSet() = default;
@@ -75,8 +71,7 @@ class MappingSet {
   /// Ω1 ⋈ Ω2 = { µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ∼ µ2 }. Builds a table
   /// on the smaller side and probes it with the larger one; counts one
   /// join probe per bucket candidate.
-  static MappingSet Join(const MappingSet& a, const MappingSet& b,
-                         ThreadPool* pool = nullptr);
+  static MappingSet Join(const MappingSet& a, const MappingSet& b);
 
   /// Reference nested-loop join (baseline for the join ablation bench).
   static MappingSet JoinNestedLoop(const MappingSet& a, const MappingSet& b);
@@ -87,8 +82,7 @@ class MappingSet {
   /// Ω1 ∖ Ω2 = { µ ∈ Ω1 | ∀ µ' ∈ Ω2 : µ ≁ µ' }: a hash anti-join of Ω1
   /// against a table on Ω2. Survivors keep Ω1's order; each Ω1 row counts
   /// the bucket candidates it examined, up to its first compatible one.
-  static MappingSet Minus(const MappingSet& a, const MappingSet& b,
-                          ThreadPool* pool = nullptr);
+  static MappingSet Minus(const MappingSet& a, const MappingSet& b);
 
   /// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), in one probe pass over Ω1 against a
   /// table on Ω2: each Ω1 row emits its unions with its compatible
@@ -96,8 +90,7 @@ class MappingSet {
   /// order, partners in Ω2's order within a row); each Ω1 row counts the
   /// bucket candidates it examined, and a row with an empty bucket counts
   /// none.
-  static MappingSet LeftOuterJoin(const MappingSet& a, const MappingSet& b,
-                                  ThreadPool* pool = nullptr);
+  static MappingSet LeftOuterJoin(const MappingSet& a, const MappingSet& b);
 
   /// Ω1 ⊑ Ω2: every µ1 ∈ Ω1 is subsumed by some µ2 ∈ Ω2.
   static bool Subsumed(const MappingSet& a, const MappingSet& b);

@@ -117,7 +117,7 @@ Result<MappingSet> Evaluator::EvalGoverned(const PatternPtr& pattern,
 
 MappingSet Evaluator::ApplyNs(const MappingSet& input) const {
   return options_.ns == EvalOptions::NsAlgo::kBucketed
-             ? RemoveSubsumedBucketed(input, pool_)
+             ? RemoveSubsumedBucketed(input)
              : RemoveSubsumedNaive(input);
 }
 
@@ -350,7 +350,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
         return MappingSet::JoinNestedLoop(l, r);
       }
       ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
-      return MappingSet::Join(l, r, pool_);
+      return MappingSet::Join(l, r);
     }
     case PatternKind::kUnion: {
       // The unobserved path flattens the whole UNION spine (stack safety
@@ -378,10 +378,10 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
         // pairwise join as its join half.
         ProfileFrame join_frame(profiled_ ? "JoinNested" : nullptr);
         return MappingSet::UnionSets(MappingSet::JoinNestedLoop(l, r),
-                                     MappingSet::Minus(l, r, pool_));
+                                     MappingSet::Minus(l, r));
       }
       ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
-      return MappingSet::LeftOuterJoin(l, r, pool_);
+      return MappingSet::LeftOuterJoin(l, r);
     }
     case PatternKind::kMinus: {
       MappingSet l, r;
@@ -391,7 +391,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
         l = EvalNode(*p.left());
         r = EvalNode(*p.right());
       }
-      return MappingSet::Minus(l, r, pool_);
+      return MappingSet::Minus(l, r);
     }
     case PatternKind::kFilter: {
       MappingSet in = EvalNode(*p.child());

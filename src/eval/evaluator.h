@@ -60,12 +60,12 @@ struct EvalOptions {
   // --- Parallelism (opt-in; default is the bit-for-bit serial path) ---
   /// Number of evaluation threads. 1 (the default) is exactly the serial
   /// evaluator: no pool, no forks, byte-identical results and counters.
-  /// With threads > 1 the hot kernels (hash join probes, MINUS scans,
-  /// bucketed NS pruning) split their input across a thread pool and the
-  /// independent AND/UNION/OPT/MINUS subtrees evaluate concurrently.
-  /// Results are merged deterministically (chunk/insertion order), so any
-  /// thread count produces the same MappingSet — content and iteration
-  /// order — and the same work counters as threads = 1.
+  /// With threads > 1 the two sides of AND/OPT/MINUS and the disjuncts of
+  /// a UNION evaluate concurrently on a thread pool; the algebra kernels
+  /// (⋈, ∖, ⟕, NS pruning) stay serial. Each operator combines its
+  /// children's results in pattern order, so any thread count produces the
+  /// same MappingSet — content and iteration order — and the same work
+  /// counters as threads = 1.
   int threads = 1;
   /// Optional externally owned pool to run on (so repeated evaluations
   /// don't pay thread startup). If null and threads > 1, the Evaluator

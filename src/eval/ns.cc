@@ -8,7 +8,6 @@
 #include "obs/accounting.h"
 #include "obs/tracer.h"
 #include "util/limits.h"
-#include "util/thread_pool.h"
 
 namespace rdfql {
 
@@ -40,7 +39,7 @@ namespace {
 
 // Marks the mappings of `bucket` (domain `dom`) that appear as a
 // projection of some mapping in a strictly-larger bucket; returns the pair
-// count charged to this bucket (identical to the serial accounting).
+// count charged to this bucket.
 uint64_t MarkSubsumedInBucket(
     const std::vector<VarId>& dom, const std::vector<const Mapping*>& bucket,
     const std::map<std::vector<VarId>, std::vector<const Mapping*>>& buckets,
@@ -77,7 +76,7 @@ uint64_t MarkSubsumedInBucket(
 
 }  // namespace
 
-MappingSet RemoveSubsumedBucketed(const MappingSet& input, ThreadPool* pool) {
+MappingSet RemoveSubsumedBucketed(const MappingSet& input) {
   // Bucket by domain.
   std::map<std::vector<VarId>, std::vector<const Mapping*>> buckets;
   for (const Mapping& m : input) {
@@ -85,35 +84,12 @@ MappingSet RemoveSubsumedBucketed(const MappingSet& input, ThreadPool* pool) {
   }
 
   // For each pair D ⊊ D', mark the mappings of bucket D that appear as a
-  // projection of some mapping in bucket D'. Distinct candidate buckets
-  // are independent (a bucket's dead marks never feed another bucket's
-  // decision), so they parallelize with a private dead set per task; the
-  // final filter walks the input in its original order either way.
+  // projection of some mapping in bucket D'; the final filter walks the
+  // input in its original order.
   uint64_t pairs = 0;
   std::unordered_set<const Mapping*> dead;
-  if (pool != nullptr && pool->num_threads() > 1 && buckets.size() > 1) {
-    std::vector<const std::pair<const std::vector<VarId>,
-                                std::vector<const Mapping*>>*>
-        bucket_list;
-    bucket_list.reserve(buckets.size());
-    for (const auto& entry : buckets) bucket_list.push_back(&entry);
-    std::vector<std::unordered_set<const Mapping*>> dead_local(
-        bucket_list.size());
-    std::vector<uint64_t> pairs_local(bucket_list.size(), 0);
-    pool->ParallelFor(bucket_list.size(), [&](size_t i) {
-      if (!CooperativeCheckpoint()) return;
-      pairs_local[i] =
-          MarkSubsumedInBucket(bucket_list[i]->first, bucket_list[i]->second,
-                               buckets, &dead_local[i]);
-    });
-    for (size_t i = 0; i < bucket_list.size(); ++i) {
-      pairs += pairs_local[i];
-      dead.insert(dead_local[i].begin(), dead_local[i].end());
-    }
-  } else {
-    for (const auto& [dom, bucket] : buckets) {
-      pairs += MarkSubsumedInBucket(dom, bucket, buckets, &dead);
-    }
+  for (const auto& [dom, bucket] : buckets) {
+    pairs += MarkSubsumedInBucket(dom, bucket, buckets, &dead);
   }
   if (OpCounters* oc = ScopedOpCounters::Current()) {
     oc->ns_pairs_compared += pairs;

@@ -5,8 +5,6 @@
 
 namespace rdfql {
 
-class ThreadPool;
-
 /// ⟦P⟧max: removes every mapping properly subsumed by another mapping of
 /// the set (the semantics of the NS operator, Section 5.1).
 ///
@@ -17,15 +15,9 @@ MappingSet RemoveSubsumedNaive(const MappingSet& input);
 /// strict superset pair of domains (D ⊊ D') probes a hash set of the
 /// D-projections of bucket D'. When the number of distinct domains is small
 /// (the common case — domains come from the pattern's OPT/UNION structure),
-/// this is near-linear instead of quadratic.
-///
-/// With a non-null `pool`, candidate buckets are distributed across the
-/// pool's threads — each worker decides subsumption for its own buckets
-/// against the (read-only) superset buckets into a private dead set, and
-/// the final pass filters the input in its original order, so the result
-/// and the `ns_pairs_compared` count are identical to the serial run.
-MappingSet RemoveSubsumedBucketed(const MappingSet& input,
-                                  ThreadPool* pool = nullptr);
+/// this is near-linear instead of quadratic. Survivors keep the input's
+/// order.
+MappingSet RemoveSubsumedBucketed(const MappingSet& input);
 
 /// True iff no mapping of the set is properly subsumed by another
 /// (i.e. Ω = Ωmax; used by the subsumption-freeness testers).

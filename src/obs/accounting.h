@@ -16,9 +16,9 @@ namespace rdfql {
 ///
 /// The install point lives in the thread-local ExecContext (util/limits.h):
 /// each coordinating thread installs its own accountant, so concurrent
-/// queries are counted independently, and ThreadPool::ParallelFor installs
-/// the coordinator's context on every worker that claims the batch's tasks,
-/// so parallel kernels still report to the right accountant.
+/// queries are counted independently, and ThreadPool installs the
+/// coordinator's context on every worker that claims a batch's tasks,
+/// so concurrently evaluated subtrees still report to the right accountant.
 ///
 /// Epochs: a MappingSet that outlives the accountant's Reset must not
 /// decrement counts it never incremented against the new epoch. Sets latch

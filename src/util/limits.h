@@ -15,10 +15,10 @@ class ResourceAccountant;  // defined in obs/accounting.h
 /// The per-thread governance context: which cancellation token the current
 /// thread's cooperative checkpoints poll and which accountant its
 /// mapping-set allocations report to. Thread-local, so concurrently running
-/// queries on different threads are independently governed;
-/// ThreadPool::ParallelFor snapshots the calling thread's context into the
-/// batch and installs it on every thread that claims the batch's tasks, so
-/// pool workers observe the coordinating thread's token and accountant for
+/// queries on different threads are independently governed; ThreadPool
+/// snapshots the calling thread's context into each batch it runs and
+/// installs it on every thread that claims the batch's tasks, so pool
+/// workers observe the coordinating thread's token and accountant for
 /// exactly the duration of that batch.
 struct ExecContext {
   CancellationToken* cancel = nullptr;
@@ -40,8 +40,9 @@ inline ExecContext& CurrentExecContext() {
 /// enforces nothing and costs nothing.
 struct ResourceLimits {
   /// Wall-clock budget from the start of the governed evaluation. Enforced
-  /// cooperatively: the evaluators and kernels check at operator and chunk
-  /// boundaries, so a runaway query stops within one chunk of work.
+  /// cooperatively: the evaluators check at every operator and the kernels
+  /// inside their loops (every 1,024 rows or probes in ⋈, ∖ and ⟕), so a
+  /// runaway query stops soon after its budget, at any thread count.
   uint64_t max_wall_ms = 0;
   /// Cap on simultaneously live mappings across every intermediate set of
   /// the query (the ResourceAccountant's live_mappings figure).
@@ -80,7 +81,7 @@ class Deadline {
 };
 
 /// A trip-once cancellation flag shared between the thread driving a query
-/// and the pool workers doing its chunks. Anyone may Cancel() it (an
+/// and the pool workers evaluating its subtrees. Anyone may Cancel() it (an
 /// operator deciding the deadline passed, the accountant seeing a cap
 /// crossed, a watchdog acting on the in-flight registry, or an external
 /// caller aborting the query); the first non-OK status latches and becomes
@@ -88,8 +89,8 @@ class Deadline {
 ///
 /// Like ResourceAccountant, the install point lives in the thread-local
 /// ExecContext, so any number of governed queries may run concurrently —
-/// one per coordinating thread — and ThreadPool::ParallelFor hands each
-/// batch's workers the coordinator's context (see docs/robustness.md).
+/// one per coordinating thread — and ThreadPool hands each batch's workers
+/// the coordinator's context (see docs/robustness.md).
 class CancellationToken {
  public:
   CancellationToken() = default;

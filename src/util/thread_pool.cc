@@ -30,9 +30,9 @@ void ThreadPool::DrainBatch(Batch* batch) {
   while ((i = batch->next.fetch_add(1, std::memory_order_relaxed)) <
          batch->num_tasks) {
     // Queue delay (publish -> this claim) and run time are always
-    // recorded: tasks are coarse chunks (a partitioned join's partition,
-    // an NS pruning slice), so two clock reads per task are noise next to
-    // the task itself.
+    // recorded: tasks are whole subtree evaluations (one side of an
+    // AND/OPT/MINUS, one UNION disjunct), so two clock reads per task are
+    // noise next to the task itself.
     uint64_t claim_ns = ProfileClockNs();
     queue_delay_.RecordWait(claim_ns - batch->publish_ns);
     {
@@ -110,7 +110,7 @@ void ThreadPool::ParallelFor(size_t num_tasks,
   DrainBatch(batch.get());
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // The caller has no task of its own while it waits for the chunks
+    // The caller has no task of its own while it waits for the tasks
     // other threads claimed — that is the pool barrier the profiler
     // attributes as pool_queue_wait.
     ProfileStateScope wait_state(ProfileThreadState::kPoolQueueWait);

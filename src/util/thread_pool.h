@@ -27,21 +27,21 @@ namespace rdfql {
 /// *who* computes which task. Callers that want scheduling-independent
 /// output must write task `i`'s results into slot `i` (or an
 /// index-addressed chunk) and combine slots in index order after
-/// ParallelFor returns — which is exactly how the parallel algebra kernels
-/// (MappingSet::Join / Minus, RemoveSubsumedBucketed) use it.
+/// ParallelFor returns — which is exactly how the evaluator's concurrent
+/// subtrees (EvalBranches, EvalUnionSpine) use it.
 ///
 /// ParallelFor is reentrant: a task may itself call ParallelFor on the
-/// same pool (the parallel evaluator does this when a UNION branch
-/// contains a parallel join). The nested call's tasks are claimed by the
-/// nested caller and by any idle worker; a thread blocked in ParallelFor
-/// has no in-progress task of its own, so waits always target running
-/// threads and the nesting cannot deadlock.
+/// same pool (the evaluator does this when a concurrently evaluated
+/// subtree has independent subtrees of its own). The nested call's tasks
+/// are claimed by the nested caller and by any idle worker; a thread
+/// blocked in ParallelFor has no in-progress task of its own, so waits
+/// always target running threads and the nesting cannot deadlock.
 ///
 /// Governance propagation: ParallelFor snapshots the calling thread's
 /// ExecContext (cancellation token + resource accountant, both
 /// thread-local) into the batch, and every thread that claims the batch's
 /// tasks runs them under that context. A pool shared by concurrently
-/// governed queries therefore routes each chunk's checkpoints and
+/// governed queries therefore routes each task's checkpoints and
 /// allocation reports to the query that forked it, not to whichever query
 /// installed its context last.
 class ThreadPool {

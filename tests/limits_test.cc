@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/engine.h"
+#include "obs/accounting.h"
 #include "obs/metrics.h"
 
 namespace rdfql {
@@ -16,6 +17,18 @@ std::string EdgeGraph(int n) {
   std::string out;
   for (int i = 0; i < n; ++i) {
     out += "s" + std::to_string(i) + " p o" + std::to_string(i) + " .\n";
+  }
+  return out;
+}
+
+// n p-edges into one hub and n q-edges out of it: joining on the hub
+// variable puts every row of both sides under one key, so the hashed
+// kernels (not the pairwise scan) build the n^2 product.
+std::string HubGraph(int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    out += "s" + std::to_string(i) + " p hub .\n";
+    out += "hub q o" + std::to_string(i) + " .\n";
   }
   return out;
 }
@@ -108,6 +121,36 @@ TEST(LimitsTest, OptCrossProductStopsNearTheCap) {
     EXPECT_LT(metrics.GetCounter("eval.join_probes")->Value(),
               200u * 200u / 10)
         << "threads=" << threads;
+  }
+}
+
+// The same for a one-key ⋈ and ⟕ on the hashed path: every row the kernel
+// emits is charged as it is inserted, and the probe loop polls the tripped
+// token every 1,024 rows or probes, so neither the probes run nor the
+// accountant's peak get near the 200 × 200 rows, at any thread count.
+TEST(LimitsTest, OneKeyJoinStopsNearTheCap) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", HubGraph(200)).ok());
+  for (const char* query : {"(?a p ?h) AND (?h q ?b)",
+                            "(?a p ?h) OPT (?h q ?b)"}) {
+    for (int threads : {1, 2, 8}) {
+      MetricsRegistry metrics;
+      ResourceAccountant acct;
+      EvalOptions options;
+      options.threads = threads;
+      options.metrics = &metrics;
+      options.accountant = &acct;
+      options.limits.max_live_mappings = 1000;
+      Result<MappingSet> r = engine.Query("g", query, options);
+      ASSERT_FALSE(r.ok()) << query << " threads=" << threads;
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+          << query << " threads=" << threads << ": "
+          << r.status().ToString();
+      EXPECT_LT(metrics.GetCounter("eval.join_probes")->Value(), 4000u)
+          << query << " threads=" << threads;
+      EXPECT_LT(acct.peak_mappings(), 4000u)
+          << query << " threads=" << threads;
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 #include "obs/accounting.h"
 #include "obs/tracer.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace rdfql {
 namespace {
@@ -133,35 +132,6 @@ TEST(MappingSetTest, AlgebraicLaws) {
   }
 }
 
-// Parallel kernels must return byte-identical results to the serial ones:
-// same mappings AND same insertion order (chunk-ordered merge contract).
-TEST(MappingSetTest, ParallelJoinMinusOptMatchSerialExactly) {
-  ThreadPool pool(4);
-  Rng rng(2024);
-  // Sets large enough to cross the parallel threshold (64 probe inputs).
-  auto random_set = [&rng](int n) {
-    MappingSet s;
-    for (int i = 0; i < n; ++i) {
-      Mapping m;
-      for (VarId v = 0; v < 5; ++v) {
-        if (rng.NextBool(0.6)) m.Set(v, rng.NextBelow(4));
-      }
-      s.Add(m);
-    }
-    return s;
-  };
-  for (int round = 0; round < 10; ++round) {
-    MappingSet a = random_set(200);
-    MappingSet b = random_set(150);
-    EXPECT_EQ(MappingSet::Join(a, b).mappings(),
-              MappingSet::Join(a, b, &pool).mappings());
-    EXPECT_EQ(MappingSet::Minus(a, b).mappings(),
-              MappingSet::Minus(a, b, &pool).mappings());
-    EXPECT_EQ(MappingSet::LeftOuterJoin(a, b).mappings(),
-              MappingSet::LeftOuterJoin(a, b, &pool).mappings());
-  }
-}
-
 // ∖ and ⟕ exactly as Section 2.1 defines them, written as pairwise loops
 // over Ω1 then Ω2 — the order the kernels must insert in, too.
 MappingSet MinusByDefinition(const MappingSet& a, const MappingSet& b) {
@@ -221,7 +191,6 @@ uint64_t ProbesOf(Kernel kernel) {
 }
 
 TEST(MappingSetTest, HashedMinusAndLeftOuterJoinMatchDefinition) {
-  ThreadPool pool(4);
   Rng rng(4242);
   const int sizes[] = {0, 1, 7, 90, 300};
   int hashed_cases = 0;
@@ -235,28 +204,18 @@ TEST(MappingSetTest, HashedMinusAndLeftOuterJoinMatchDefinition) {
         MappingSet minus = MinusByDefinition(a, b);
         MappingSet louter = LeftOuterJoinByDefinition(a, b);
         EXPECT_EQ(MappingSet::Minus(a, b).mappings(), minus.mappings());
-        EXPECT_EQ(MappingSet::Minus(a, b, &pool).mappings(),
-                  minus.mappings());
         EXPECT_EQ(MappingSet::LeftOuterJoin(a, b).mappings(),
                   louter.mappings());
-        EXPECT_EQ(MappingSet::LeftOuterJoin(a, b, &pool).mappings(),
-                  louter.mappings());
         EXPECT_EQ(MappingSet::Join(a, b), MappingSet::JoinNestedLoop(a, b));
-        EXPECT_EQ(MappingSet::Join(a, b, &pool).mappings(),
-                  MappingSet::Join(a, b).mappings());
         if (a.size() < 90 || b.size() < 90) continue;
-        // Partitioned on variable 0: far fewer candidates than pairs, and
-        // the same count serial and pooled.
+        // Partitioned on variable 0: far fewer candidates than pairs.
         ++hashed_cases;
         const uint64_t pairs = a.size() * b.size();
-        uint64_t serial = ProbesOf([&] { MappingSet::LeftOuterJoin(a, b); });
-        EXPECT_LT(serial, pairs / 2);
-        EXPECT_EQ(serial,
-                  ProbesOf([&] { MappingSet::LeftOuterJoin(a, b, &pool); }));
+        uint64_t louter_probes =
+            ProbesOf([&] { MappingSet::LeftOuterJoin(a, b); });
+        EXPECT_LT(louter_probes, pairs / 2);
         uint64_t minus_probes = ProbesOf([&] { MappingSet::Minus(a, b); });
         EXPECT_LT(minus_probes, pairs / 2);
-        EXPECT_EQ(minus_probes,
-                  ProbesOf([&] { MappingSet::Minus(a, b, &pool); }));
       }
     }
   }
@@ -266,17 +225,13 @@ TEST(MappingSetTest, HashedMinusAndLeftOuterJoinMatchDefinition) {
 TEST(MappingSetTest, EmptyMappingOnTheRightRemovesEveryRow) {
   // µ∅ is compatible with every mapping: Ω1 ∖ Ω2 is empty, and Ω1 ⟕ Ω2
   // keeps every row of Ω1 (µ ∪ µ∅ = µ) plus its unions with the rest.
-  ThreadPool pool(4);
   Rng rng(77);
   MappingSet a = RandomKeyedSet(&rng, 200, 5);
   MappingSet b = RandomKeyedSet(&rng, 150, 5);
   b.Add(Mapping());
   EXPECT_TRUE(MappingSet::Minus(a, b).empty());
-  EXPECT_TRUE(MappingSet::Minus(a, b, &pool).empty());
   MappingSet louter = LeftOuterJoinByDefinition(a, b);
   EXPECT_EQ(MappingSet::LeftOuterJoin(a, b).mappings(), louter.mappings());
-  EXPECT_EQ(MappingSet::LeftOuterJoin(a, b, &pool).mappings(),
-            louter.mappings());
   for (const Mapping& m : a) EXPECT_TRUE(louter.Contains(m));
 }
 
@@ -384,18 +339,6 @@ TEST(MappingSetTest, CopiesAndMovesKeepIndexAndAccounting) {
   }
   EXPECT_EQ(acct.live_mappings(), 0u);
   EXPECT_EQ(acct.live_bytes(), 0u);
-}
-
-TEST(MappingSetTest, ParallelKernelsHandleSmallAndEmptyInputs) {
-  // Below the parallel threshold the pool is ignored; results still match.
-  ThreadPool pool(4);
-  MappingSet a = MappingSet::FromList({Make({{1, 1}}), Make({{1, 2}})});
-  MappingSet b = MappingSet::FromList({Make({{1, 1}, {2, 5}})});
-  MappingSet empty;
-  EXPECT_EQ(MappingSet::Join(a, b), MappingSet::Join(a, b, &pool));
-  EXPECT_EQ(MappingSet::Minus(a, b), MappingSet::Minus(a, b, &pool));
-  EXPECT_EQ(MappingSet::Join(a, empty), MappingSet::Join(a, empty, &pool));
-  EXPECT_EQ(MappingSet::Minus(empty, b), MappingSet::Minus(empty, b, &pool));
 }
 
 }  // namespace

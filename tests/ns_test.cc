@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace rdfql {
 namespace {
@@ -97,10 +96,9 @@ TEST(NsTest, SubsumptionIsPreservedSemantics) {
   }
 }
 
-// Parallel bucket pruning must produce byte-identical output (content and
-// order) to the serial pass, for inputs well past the parallel threshold.
-TEST(NsTest, ParallelBucketedMatchesSerialExactly) {
-  ThreadPool pool(4);
+// On larger inputs over more variables, bucketed pruning keeps exactly the
+// reference's survivors, in the same (input) order.
+TEST(NsTest, BucketedMatchesNaiveOnLargeRandomSets) {
   Rng rng(404);
   for (int round = 0; round < 10; ++round) {
     MappingSet s;
@@ -111,10 +109,8 @@ TEST(NsTest, ParallelBucketedMatchesSerialExactly) {
       }
       s.Add(m);
     }
-    MappingSet serial = RemoveSubsumedBucketed(s);
-    MappingSet parallel = RemoveSubsumedBucketed(s, &pool);
-    EXPECT_EQ(serial.mappings(), parallel.mappings());
-    EXPECT_EQ(serial, RemoveSubsumedNaive(s));
+    EXPECT_EQ(RemoveSubsumedBucketed(s).mappings(),
+              RemoveSubsumedNaive(s).mappings());
   }
 }
 

@@ -3,7 +3,8 @@
 // the SAME MappingSet — content and insertion order — as the serial
 // evaluator, and EXPLAIN ANALYZE records the same per-operator
 // cardinalities and work counters. This is the determinism contract of
-// EvalOptions::threads (chunk-ordered merges, per-task result slots).
+// EvalOptions::threads (serial kernels, concurrent subtrees writing
+// per-task result slots that are combined in pattern order).
 
 #include <gtest/gtest.h>
 
