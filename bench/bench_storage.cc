@@ -1,11 +1,10 @@
-// Storage ablation: the mutable sorted-index `Graph` vs the immutable
-// per-predicate CSR `StaticGraph`, across the probe shapes triple-pattern
-// evaluation issues (predicate-bound prefix scans dominate real queries).
+// Storage micro-benches: the sorted-index `Graph` on the probe shapes that
+// triple-pattern evaluation uses (predicate-bound prefix scans dominate
+// real queries), and on interleaved inserts and matches.
 
 #include <benchmark/benchmark.h>
 
 #include "core/rdfql.h"
-#include "rdf/static_graph.h"
 #include "util/check.h"
 
 #include "bench_reporting.h"
@@ -33,21 +32,6 @@ void BM_GraphPrefixScan(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphPrefixScan)->RangeMultiplier(4)->Range(256, 16384);
 
-void BM_StaticGraphPrefixScan(benchmark::State& state) {
-  Dictionary dict;
-  Graph g = MakeGraph(static_cast<int>(state.range(0)), &dict);
-  StaticGraph sg = StaticGraph::Build(g);
-  TermId born = dict.InternIri("was_born_in");
-  size_t n = 0;
-  for (auto _ : state) {
-    n = sg.CountMatches(kInvalidTermId, born, kInvalidTermId);
-    benchmark::DoNotOptimize(n);
-  }
-  state.counters["matches"] = static_cast<double>(n);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_StaticGraphPrefixScan)->RangeMultiplier(4)->Range(256, 16384);
-
 void BM_GraphPointLookups(benchmark::State& state) {
   Dictionary dict;
   Graph g = MakeGraph(1024, &dict);
@@ -65,25 +49,6 @@ void BM_GraphPointLookups(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphPointLookups);
-
-void BM_StaticGraphPointLookups(benchmark::State& state) {
-  Dictionary dict;
-  Graph g = MakeGraph(1024, &dict);
-  StaticGraph sg = StaticGraph::Build(g);
-  TermId email = dict.InternIri("email");
-  std::vector<TermId> subjects;
-  for (int i = 0; i < 1024; ++i) {
-    subjects.push_back(dict.InternIri("person_" + std::to_string(i)));
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sg.CountMatches(subjects[i % subjects.size()], email,
-                        kInvalidTermId));
-    ++i;
-  }
-}
-BENCHMARK(BM_StaticGraphPointLookups);
 
 // Interleaved insert/match: the workload that used to thrash the sorted
 // indexes (every insert invalidated all three, so each probe after an
@@ -113,16 +78,6 @@ void BM_GraphInterleavedInsertMatch(benchmark::State& state) {
 BENCHMARK(BM_GraphInterleavedInsertMatch)
     ->RangeMultiplier(4)
     ->Range(256, 4096);
-
-void BM_StaticGraphBuild(benchmark::State& state) {
-  Dictionary dict;
-  Graph g = MakeGraph(static_cast<int>(state.range(0)), &dict);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(StaticGraph::Build(g));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_StaticGraphBuild)->RangeMultiplier(4)->Range(256, 16384);
 
 }  // namespace
 }  // namespace rdfql

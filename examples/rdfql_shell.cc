@@ -17,8 +17,7 @@
 //   graphs                     list loaded graphs
 //   spawn <graph> <pattern>    run a query on a background thread (a job)
 //   .jobs                      list spawned jobs and their outcomes
-//   .wait                      join every spawned job (load, triple,
-//                              insertwhere and deletewhere refuse until then)
+//   .wait                      join every spawned job and print outcomes
 //   .sleep <ms>                pause the script (lets jobs make progress)
 //   .ps                        in-flight query table (live registry)
 //   .stats                     workload report over this session's queries
@@ -101,17 +100,6 @@ struct Job {
 std::vector<std::unique_ptr<Job>>& Jobs() {
   static std::vector<std::unique_ptr<Job>> jobs;
   return jobs;
-}
-
-/// Whether some spawned job has not been joined by `.wait` yet. Its query
-/// may still be reading any graph, so the commands that write graphs refuse
-/// until then. Joined, not finished, is the test, so a script's outcome
-/// does not depend on how fast its jobs run.
-bool JobsUnjoined() {
-  for (const std::unique_ptr<Job>& job : Jobs()) {
-    if (job->thread.joinable()) return true;
-  }
-  return false;
 }
 
 void JoinJobs(bool print) {
@@ -352,14 +340,6 @@ bool HandleLine(Engine* engine, const std::string& raw) {
     std::printf("(use load/triple to create graphs)\n");
     return true;
   }
-  if ((cmd == "load" || cmd == "triple" || cmd == "insertwhere" ||
-       cmd == "deletewhere") &&
-      JobsUnjoined()) {
-    std::printf("error: %s refused: spawned jobs may still read the graphs; "
-                "run .wait first\n",
-                cmd.c_str());
-    return true;
-  }
   std::string graph;
   if (cmd == "load") {
     std::string file;
@@ -397,8 +377,8 @@ bool HandleLine(Engine* engine, const std::string& raw) {
     Job* j = job.get();
     std::string graph_copy = graph;
     std::string text = job->query;
-    // Reads-only against the engine: safe to run concurrently with other
-    // queries. The graph-writing commands refuse until `.wait` joins it.
+    // The job's query pins the graph version current when it starts, so
+    // the graph-writing commands may run while it does.
     job->thread = std::thread([engine, j, graph_copy, text] {
       rdfql::Result<rdfql::MappingSet> r = engine->Query(graph_copy, text);
       j->outcome = r.ok() ? "ok rows=" + std::to_string(r->size())

@@ -13,7 +13,9 @@
 # sampler thread racing query traffic, watchdog escalation reads), and the
 # query lifecycle every entry point shares (concurrent writers to one query
 # log, the engine's shared metric handles, every entry point at once on one
-# engine). Pass extra ctest args through, e.g.:
+# engine), and the graph catalog (one writer's inserts and replacements
+# beside 2, 4 and 8 readers, and the shell writing a graph while a spawned
+# job reads it). Pass extra ctest args through, e.g.:
 # scripts/tsan_check.sh -j4
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -23,13 +25,14 @@ cmake --build build-tsan --target \
   thread_pool_test parallel_sweeps_test mapping_set_test ns_test \
   evaluator_test engine_test inflight_test telemetry_test \
   query_cache_test profiler_test history_test alerts_test \
-  query_log_test metrics_test query_lifecycle_test limits_test || exit 1
+  query_log_test metrics_test query_lifecycle_test limits_test \
+  rdfql_shell || exit 1
 
 # halt_on_error: fail the run on the first report instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest|Readers/EngineCatalogTest|shell_smoke)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

@@ -130,6 +130,10 @@ bool WatchdogTripped(InflightSlot* slot) {
   return slot != nullptr && slot->watchdog_cancelled();
 }
 
+Status NoGraph(const std::string& name) {
+  return Status::NotFound("no graph named '" + name + "'");
+}
+
 }  // namespace
 
 Engine::~Engine() {
@@ -157,23 +161,56 @@ std::string QueryExplanation::ToString() const {
 
 Status Engine::LoadGraphText(const std::string& name,
                              std::string_view ntriples) {
-  Graph& g = graphs_[name];
-  Status st = ParseNTriples(ntriples, &dict_, &g);
+  std::lock_guard<std::mutex> write(writer_mu_);
+  std::shared_ptr<Graph> pinned;  // the current version, when a query pins it
+  Status st;
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    std::shared_ptr<Graph>& slot = graphs_[name];
+    if (slot == nullptr) slot = std::make_shared<Graph>();
+    if (slot.use_count() == 1) {
+      // Unpinned: every pin released so far was released under this lock,
+      // and a query starting now waits for it, so the write goes in place.
+      st = ParseNTriples(ntriples, &dict_, slot.get());
+    } else {
+      pinned = slot;
+    }
+  }
+  if (pinned != nullptr) {
+    // Running queries keep their version; the write goes to a copy.
+    auto next = std::make_shared<Graph>(*pinned);
+    st = ParseNTriples(ntriples, &dict_, next.get());
+    Publish(name, std::move(next));
+  }
   UpdateGraphGauges();
   return st;
 }
 
 void Engine::PutGraph(const std::string& name, Graph graph) {
-  graphs_[name] = std::move(graph);
+  auto next = std::make_shared<Graph>(std::move(graph));
+  std::lock_guard<std::mutex> write(writer_mu_);
+  Publish(name, std::move(next));
   UpdateGraphGauges();
 }
 
+void Engine::Publish(const std::string& name, std::shared_ptr<Graph> next) {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  std::shared_ptr<Graph>& slot = graphs_[name];
+  if (slot != nullptr) {
+    slot->index_lock_wait_stats().AddTo(&retired_index_waits_);
+  }
+  // `next` leaves with the retired version: freed on return unless a query
+  // pins it, in which case its last pin frees it.
+  slot.swap(next);
+}
+
 void Engine::UpdateGraphGauges() {
+  // Only writers change the catalog, and they hold writer_mu_.
   size_t bytes = 0;
   size_t triples = 0;
   for (const auto& [name, g] : graphs_) {
-    bytes += g.ApproxBytes();
-    triples += g.size();
+    bytes += g->ApproxBytes();
+    triples += g->size();
   }
   metrics_.GetGauge("engine.graph_bytes")->Set(static_cast<int64_t>(bytes));
   metrics_.GetGauge("engine.graph_triples")
@@ -181,11 +218,22 @@ void Engine::UpdateGraphGauges() {
 }
 
 Result<const Graph*> Engine::GetGraph(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
   auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return Status::NotFound("no graph named '" + name + "'");
-  }
-  return &it->second;
+  if (it == graphs_.end()) return NoGraph(name);
+  return it->second.get();
+}
+
+Engine::GraphPin::GraphPin(const Engine& engine, const std::string& name)
+    : mu_(engine.catalog_mu_) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = engine.graphs_.find(name);
+  if (it != engine.graphs_.end()) graph_ = it->second;
+}
+
+Engine::GraphPin::~GraphPin() {
+  std::lock_guard<std::mutex> lock(mu_);
+  graph_.reset();
 }
 
 Result<PatternPtr> Engine::Parse(std::string_view query) {
@@ -293,10 +341,13 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
   ProfileFrame profile_frame(explain != nullptr ? "Engine::QueryExplained"
                              : text             ? "Engine::Query"
                                                 : nullptr);
-  Result<const Graph*> graph = GetGraph(graph_name);
+  // The version of the graph this query reads throughout: the cache epoch,
+  // the evaluation and a slow-query EXPLAIN capture all see it.
+  GraphPin pin(*this, graph_name);
+  const Graph* graph = pin.get();
   // Eval has no parse step to fail first: an unknown graph fails it before
   // it registers.
-  if (!text && !graph.ok()) return graph.status();
+  if (!text && graph == nullptr) return NoGraph(graph_name);
   options = WithEngineDefaults(std::move(options));
   QueryLog* log = text ? options.query_log : nullptr;
   const MetricHandles* metrics = collect_metrics_ ? &handles_ : nullptr;
@@ -362,19 +413,19 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
         capture.cancel = nullptr;
         capture.accountant = nullptr;
         capture.metrics = nullptr;
-        rec.explain = ExplainEval(**graph, pattern, dict_, capture).ToString();
+        rec.explain = ExplainEval(*graph, pattern, dict_, capture).ToString();
       }
     }
     log->Record(std::move(rec));
     return status;
   };
 
-  // Result-cache probe. The epoch is read before evaluation: with no writes
-  // during queries, it is the state the evaluation sees. EXPLAIN always
-  // evaluates (a served answer has no plan to instrument), so it only reads
-  // the epoch, for the store.
-  if (cc.result_on && graph.ok()) {
-    cc.graph_epoch = (*graph)->Epoch();
+  // Result-cache probe. The epoch is the pinned version's, so it names
+  // exactly the triple set the evaluation sees, whatever writers do
+  // meanwhile. EXPLAIN always evaluates (a served answer has no plan to
+  // instrument), so it only reads the epoch, for the store.
+  if (cc.result_on && graph != nullptr) {
+    cc.graph_epoch = graph->Epoch();
     cc.epoch_known = true;
     if (explain == nullptr) {
       uint64_t t0 = recording ? NowNs() : 0;
@@ -419,7 +470,7 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
     if (want_fragment) rec.fragment = DescribeFragment(pattern);
   }
   if (slot != nullptr) slot->SetFragment(rec.fragment);
-  if (!graph.ok()) return publish(graph.status());
+  if (graph == nullptr) return publish(NoGraph(graph_name));
 
   rec.threads = options.threads < 1 ? 1 : options.threads;
   if (slot != nullptr) slot->SetThreads(rec.threads);
@@ -450,7 +501,7 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
   uint64_t t0 = recording ? NowNs() : 0;
   Result<MappingSet> result = [&] {
     ProfileFrame eval_frame("Eval");
-    return Evaluator(*graph, options).EvalChecked(pattern);
+    return Evaluator(graph, options).EvalChecked(pattern);
   }();
   rec.eval_ns = recording ? NowNs() - t0 : 0;
   if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
@@ -519,7 +570,8 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
 void Engine::SetDefaultThreads(int threads) {
   default_threads_ = threads < 1 ? 1 : threads;
   // Resize (or drop) the shared pool; queries in flight are the caller's
-  // responsibility — the engine is not itself thread-safe for writes.
+  // responsibility — unlike graph writes, settings are not synchronized
+  // against running queries.
   pool_.reset();
   if (default_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(default_threads_);
@@ -643,8 +695,12 @@ RegistrySnapshot Engine::MetricsSnapshot() {
   }
   InjectWaitStats(dict_.lock_wait_stats(), "lock.dictionary", &snap);
   WaitStats::Totals graph_totals;
-  for (const auto& [name, graph] : graphs_) {
-    graph.index_lock_wait_stats().AddTo(&graph_totals);
+  {
+    std::lock_guard<std::mutex> lock(catalog_mu_);
+    graph_totals = retired_index_waits_;
+    for (const auto& [name, graph] : graphs_) {
+      graph->index_lock_wait_stats().AddTo(&graph_totals);
+    }
   }
   InjectWaitStats(graph_totals, "lock.graph_index", &snap);
   if (query_cache_ != nullptr) {

@@ -152,12 +152,25 @@ class Engine {
   Dictionary* dict() { return &dict_; }
 
   /// Parses simplified N-Triples into (or on top of) the named graph.
+  ///
+  /// Graph writes may overlap queries on any thread: every query pins the
+  /// version of its graph current when it starts and sees that one triple
+  /// set to the end, because OPT, MINUS and NS are non-monotone and a
+  /// triple added mid-query can remove answers. Writers serialize among
+  /// themselves. A version no query pins is written in place (a query
+  /// starting meanwhile waits for the write); a pinned one is copied, the
+  /// copy written and published as the new version.
   Status LoadGraphText(const std::string& name, std::string_view ntriples);
 
-  /// Registers/replaces a graph under `name`.
+  /// Registers/replaces a graph under `name`: `graph` becomes a new
+  /// version, and the replaced one is freed when the last query pinning it
+  /// finishes. Safe while queries run (see LoadGraphText).
   void PutGraph(const std::string& name, Graph graph);
 
-  /// Fails with NotFound for unknown names.
+  /// The current version of the named graph; fails with NotFound for
+  /// unknown names. The pointer is not a pin: it stays valid until the
+  /// next write to that name (LoadGraphText may change the graph under it,
+  /// PutGraph may free it), so use it only where no write can intervene.
   Result<const Graph*> GetGraph(const std::string& name) const;
 
   /// Parses a graph pattern in the paper's syntax.
@@ -490,8 +503,31 @@ class Engine {
   /// per-query options.
   EvalOptions WithEngineDefaults(EvalOptions options) const;
 
+  /// One query's hold on the current version of a graph (null when no
+  /// graph has that name). The pin is taken and released under
+  /// catalog_mu_: a writer that finds a version's use count at 1 under
+  /// that mutex is thereby ordered after every read made through a pin.
+  class GraphPin {
+   public:
+    GraphPin(const Engine& engine, const std::string& name);
+    ~GraphPin();
+    GraphPin(const GraphPin&) = delete;
+    GraphPin& operator=(const GraphPin&) = delete;
+
+    const Graph* get() const { return graph_.get(); }
+
+   private:
+    std::mutex& mu_;
+    std::shared_ptr<const Graph> graph_;
+  };
+
+  /// Makes `next` the current version of `name`, folding the retired
+  /// version's index-lock waits into retired_index_waits_. Requires
+  /// writer_mu_.
+  void Publish(const std::string& name, std::shared_ptr<Graph> next);
+
   /// Recomputes the engine.graph_bytes / engine.graph_triples gauges after
-  /// a graph mutation.
+  /// a graph write. Requires writer_mu_.
   void UpdateGraphGauges();
 
   /// Counts a governance rejection (always recorded — rejections are rare
@@ -531,7 +567,15 @@ class Engine {
   };
 
   Dictionary dict_;
-  std::map<std::string, Graph> graphs_;
+  // The catalog: each name's current version. catalog_mu_ guards the map,
+  // every pin's copy and release, and in-place writes; writer_mu_
+  // serializes writers, so a write's copy-modify-publish is never lost.
+  mutable std::mutex catalog_mu_;
+  std::mutex writer_mu_;
+  std::map<std::string, std::shared_ptr<Graph>> graphs_;
+  // Index-lock waits of replaced versions (guarded by catalog_mu_), so the
+  // lock.graph_index_* series stay monotone across PutGraph.
+  WaitStats::Totals retired_index_waits_;
   MetricsRegistry metrics_;
   bool collect_metrics_ = false;
   MetricHandles handles_;

@@ -158,16 +158,20 @@ MappingSet Evaluator::EvalUnionSpine(const Pattern& p) const {
   // with an explicit stack (the spine can be deeper than the call stack).
   std::vector<const Pattern*> disjuncts;
   std::vector<const Pattern*> walk{&p};
+  uint64_t unions = 0;
   while (!walk.empty()) {
     const Pattern* cur = walk.back();
     walk.pop_back();
     if (cur->kind() == PatternKind::kUnion) {
+      ++unions;
       walk.push_back(cur->right().get());
       walk.push_back(cur->left().get());
     } else {
       disjuncts.push_back(cur);
     }
   }
+  // p itself is counted by EvalNodeObserved; the folded ones are not.
+  if (counters_.nodes != nullptr) counters_.nodes->Inc(unions - 1);
   std::vector<MappingSet> parts(disjuncts.size());
   if (ParallelSubtrees() && disjuncts.size() > 1) {
     OpCounters* parent_sink = ScopedOpCounters::Current();
@@ -209,7 +213,7 @@ MappingSet Evaluator::IndexJoinWithTriple(const MappingSet& left,
       return v.has_value() ? *v : kInvalidTermId;
     };
     ++probes;
-    matcher_(
+    graph_->Match(
         position(t.s), position(t.p), position(t.o),
         [&t, &m, &out, &pairs](const Triple& match) {
           ++pairs;
@@ -243,7 +247,7 @@ MappingSet Evaluator::EvalTriple(const TriplePattern& t) const {
   TermId p = t.p.is_iri() ? t.p.iri() : kInvalidTermId;
   TermId o = t.o.is_iri() ? t.o.iri() : kInvalidTermId;
 
-  matcher_(s, p, o, [&t, &out](const Triple& match) {
+  graph_->Match(s, p, o, [&t, &out](const Triple& match) {
     // Build µ with dom(µ) = var(t); repeated variables must agree.
     Mapping m;
     bool ok = true;
@@ -353,10 +357,10 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       return MappingSet::Join(l, r);
     }
     case PatternKind::kUnion: {
-      // The unobserved path flattens the whole UNION spine (stack safety
-      // on deep UCQ chains + multi-way parallel disjuncts); the observed
+      // Without a tracer the whole UNION spine is flattened (stack safety
+      // on deep UCQ chains + multi-way parallel disjuncts); the traced
       // path recurses two-way so each UNION node keeps its own span.
-      if (!options_.observed()) {
+      if (options_.tracer == nullptr) {
         return EvalUnionSpine(p);
       }
       MappingSet l = EvalNode(*p.left());

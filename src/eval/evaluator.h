@@ -1,7 +1,6 @@
 #ifndef RDFQL_EVAL_EVALUATOR_H_
 #define RDFQL_EVAL_EVALUATOR_H_
 
-#include <functional>
 #include <memory>
 
 #include "algebra/mapping_set.h"
@@ -10,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "rdf/graph.h"
-#include "rdf/static_graph.h"
 #include "util/limits.h"
 #include "util/profile_state.h"
 #include "util/status.h"
@@ -133,26 +131,8 @@ struct EvalOptions {
 /// transformation and every reduction is tested against it.
 class Evaluator {
  public:
-  /// A storage probe: same contract as Graph::Match / StaticGraph::Match.
-  using Matcher = std::function<size_t(
-      TermId, TermId, TermId, const std::function<void(const Triple&)>&)>;
-
   explicit Evaluator(const Graph* graph, EvalOptions options = {})
-      : matcher_([graph](TermId s, TermId p, TermId o,
-                         const std::function<void(const Triple&)>& fn) {
-          return graph->Match(s, p, o, fn);
-        }),
-        options_(options) {
-    Init();
-  }
-
-  /// Evaluates directly against the immutable CSR store.
-  explicit Evaluator(const StaticGraph* graph, EvalOptions options = {})
-      : matcher_([graph](TermId s, TermId p, TermId o,
-                         const std::function<void(const Triple&)>& fn) {
-          return graph->Match(s, p, o, fn);
-        }),
-        options_(options) {
+      : graph_(graph), options_(options) {
     Init();
   }
 
@@ -197,8 +177,10 @@ class Evaluator {
   /// Evaluates the in-order disjuncts of a maximal UNION spine and folds
   /// them left to right — iteratively, because UCQ expansions build spines
   /// tens of thousands of nodes deep that would overflow the stack if each
-  /// level recursed. Used on the unobserved path only (the traced path
-  /// keeps per-node recursion so every UNION node gets its span).
+  /// level recursed. Used whenever no tracer is attached (the traced path
+  /// keeps per-node recursion so every UNION node gets its span). The
+  /// inner UNION nodes it folds still count toward eval.nodes; never
+  /// built, they report no mappings_out of their own.
   MappingSet EvalUnionSpine(const Pattern& p) const;
   MappingSet EvalTriple(const TriplePattern& t) const;
   MappingSet IndexJoinWithTriple(const MappingSet& left,
@@ -219,7 +201,7 @@ class Evaluator {
     Counter* mappings_out = nullptr;
   };
 
-  Matcher matcher_;
+  const Graph* graph_;
   EvalOptions options_;
   Counters counters_;
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -34,9 +34,9 @@ namespace rdfql {
 /// thread-safe: the lazy index build is guarded by a shared mutex, and
 /// once an index covers the full triple set readers scan it without
 /// taking the lock (nothing mutates it again until a write). Writes
-/// (Insert/Erase) are not synchronized against readers — same contract
-/// as the rest of the engine: load, then query from as many threads as
-/// you like.
+/// (Insert/Erase) are not synchronized against readers; the Engine's
+/// catalog orders them instead, writing a version in place only while no
+/// query pins it and copying it otherwise.
 class Graph {
  public:
   Graph() = default;
@@ -124,9 +124,9 @@ class Graph {
   std::vector<Triple> triples_;
   std::unordered_set<Triple> set_;
 
-  // Atomic so a metrics scrape or cache lookup racing a graph swap reads a
-  // whole value; writes happen only under the engine's no-writes-during-
-  // queries contract.
+  // Atomic so a reader that races a write (through an Engine::GetGraph
+  // pointer, say) still sees a whole value. Engine queries read it from
+  // their pinned version, which no write touches.
   std::atomic<uint64_t> epoch_{NextEpoch()};
 
   // Guards the lazy builds of index_ (EnsureIndex) against concurrent
