@@ -2,14 +2,20 @@
 // consequences of replacing the operator OPTIONAL by the operator NS?" —
 // measured on the synthetic social workload: the same optional-information
 // query expressed with OPT and with NS(P1 ∪ (P1 AND P2)), across data
-// sizes and optional-data densities.
+// sizes and optional-data densities. Each case also records
+// `allocs_per_row`: the heap allocations of one evaluation (after the timed
+// ones have built the graph's indexes) per answer row, a deterministic
+// count that bench/baselines/BENCH_bench_opt_vs_ns.json pins.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "core/engine.h"
 #include "eval/evaluator.h"
+#include "util/alloc_counter.h"
 #include "util/check.h"
 #include "workload/graph_generator.h"
 
@@ -45,6 +51,14 @@ void RunQuery(benchmark::State& state, const char* query,
     benchmark::DoNotOptimize(r);
   }
   state.counters["answers"] = static_cast<double>(answers);
+  // Counted around EvalPattern alone: the result's own frees come after.
+  const uint64_t before = AllocationCount();
+  MappingSet r = EvalPattern(g, p.value());
+  const uint64_t allocations = AllocationCount() - before;
+  benchmark::DoNotOptimize(r);
+  state.counters["allocs_per_row"] =
+      static_cast<double>(allocations) /
+      static_cast<double>(std::max<size_t>(r.size(), 1));
   state.SetComplexityN(state.range(0));
 }
 

@@ -18,13 +18,25 @@ Graph MakeGraph(int people, Dictionary* dict) {
   return GenerateSocialGraph(spec, dict);
 }
 
+// Visits and reads every match, so the benches time the scan itself:
+// `Graph::CountMatches` only measures the prefix range, and a callback that
+// just counted would inline into the same range arithmetic.
+size_t ScanMatches(const Graph& g, TermId s, TermId p, TermId o) {
+  size_t n = 0;
+  g.Match(s, p, o, [&n](const Triple& t) {
+    benchmark::DoNotOptimize(t);
+    ++n;
+  });
+  return n;
+}
+
 void BM_GraphPrefixScan(benchmark::State& state) {
   Dictionary dict;
   Graph g = MakeGraph(static_cast<int>(state.range(0)), &dict);
   TermId born = dict.InternIri("was_born_in");
   size_t n = 0;
   for (auto _ : state) {
-    n = g.CountMatches(kInvalidTermId, born, kInvalidTermId);
+    n = ScanMatches(g, kInvalidTermId, born, kInvalidTermId);
     benchmark::DoNotOptimize(n);
   }
   state.counters["matches"] = static_cast<double>(n);
@@ -43,8 +55,8 @@ void BM_GraphPointLookups(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        g.CountMatches(subjects[i % subjects.size()], email,
-                       kInvalidTermId));
+        ScanMatches(g, subjects[i % subjects.size()], email,
+                    kInvalidTermId));
     ++i;
   }
 }
@@ -66,7 +78,7 @@ void BM_GraphInterleavedInsertMatch(benchmark::State& state) {
     for (const Triple& t : triples) {
       g.Insert(t);
       if (++i % 8 == 0) {
-        matches = g.CountMatches(kInvalidTermId, born, kInvalidTermId);
+        matches = ScanMatches(g, kInvalidTermId, born, kInvalidTermId);
         benchmark::DoNotOptimize(matches);
       }
     }

@@ -8,8 +8,8 @@
 #
 # Baselines travel across machines, so the check runs bench_diff with
 # --ignore-time: only the deterministic counters/metrics (output sizes,
-# blowup ratios, answer counts) gate; wall times are compared by the
-# same-machine ctest entries instead.
+# blowup ratios, answer counts, allocations per row) gate; wall times are
+# compared by the same-machine ctest entries instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,13 +21,16 @@ esac
 
 cmake -B build >/dev/null
 cmake --build build --target \
-  bench_ns_elimination bench_wd_to_simple bench_diff >/dev/null
+  bench_ns_elimination bench_wd_to_simple bench_opt_vs_ns bench_diff \
+  >/dev/null
 
-# <bench binary> <family filter>: restricted to the transformation-size
-# families whose counters are machine-independent.
+# <bench binary> <family filter>: restricted to the families whose
+# counters are machine-independent (transformation sizes, and the E9
+# query pair's answers and allocations per row).
 benches=(
   "bench_ns_elimination BM_EliminateNs"
   "bench_wd_to_simple BM_WdToSimple"
+  "bench_opt_vs_ns BM_"
 )
 
 mkdir -p bench/baselines bench/out

@@ -48,18 +48,6 @@ std::vector<VarId> SharedCertainVars(const MappingSet& a,
   return vars;
 }
 
-// Hash of µ restricted to `vars` (sorted, and ⊆ dom(µ) by the caller).
-uint64_t KeyHash(const Mapping& m, const std::vector<VarId>& vars) {
-  const auto& bindings = m.bindings();
-  uint64_t h = 0x243f6a8885a308d3ULL;
-  size_t j = 0;
-  for (VarId v : vars) {
-    while (bindings[j].first < v) ++j;
-    h = (h ^ bindings[j].second) * 0x9e3779b97f4a7c15ULL;
-  }
-  return h;
-}
-
 // Hash table over one side of a binary operator, keyed on each mapping's
 // restriction to the shared certain variables. Rows of one bucket sit
 // contiguously in build order, so the whole table is two flat arrays
@@ -76,7 +64,7 @@ class KeyTable {
     std::vector<uint64_t> hashes(rows.size());
     offsets_.assign(buckets + 1, 0);
     for (size_t i = 0; i < rows.size(); ++i) {
-      hashes[i] = KeyHash(rows[i], vars_);
+      hashes[i] = rows[i].KeyHash(vars_);
       ++offsets_[Bucket(hashes[i]) + 1];
     }
     for (size_t b = 0; b < buckets; ++b) offsets_[b + 1] += offsets_[b];
@@ -93,7 +81,7 @@ class KeyTable {
   // Returns the number of rows it was called on — the join probes.
   template <typename Fn>
   uint64_t ForEachCandidate(const Mapping& probe, Fn&& fn) const {
-    uint64_t h = KeyHash(probe, vars_);
+    uint64_t h = probe.KeyHash(vars_);
     size_t bucket = Bucket(h);
     uint64_t visited = 0;
     for (uint32_t i = offsets_[bucket]; i < offsets_[bucket + 1]; ++i) {
@@ -141,10 +129,13 @@ struct AllRows {
 // join probes the row cost; the sum lands in the node's OpCounters. Every
 // emitted row goes straight into the result, so the accountant charges it
 // at once, and the loop polls for cancellation every kCheckpointStride rows
-// or probes.
+// or probes. The result starts with room for `reserve` rows, a size the
+// caller knows it reaches.
 template <typename ProbeRow>
-MappingSet ProbeRows(const MappingSet& rows, ProbeRow&& probe_row) {
+MappingSet ProbeRows(const MappingSet& rows, size_t reserve,
+                     ProbeRow&& probe_row) {
   MappingSet out;
+  out.Reserve(reserve);
   auto emit = [&out](auto&& m) { out.Add(std::forward<decltype(m)>(m)); };
   uint64_t probes = 0;
   uint64_t work = 0;
@@ -168,9 +159,9 @@ MappingSet ProbeRows(const MappingSet& rows, ProbeRow&& probe_row) {
 // there are none.
 template <typename ProbeRow>
 MappingSet ProbeAgainst(const MappingSet& a, const MappingSet& b,
-                        ProbeRow&& probe_row) {
+                        size_t reserve, ProbeRow&& probe_row) {
   auto run = [&](const auto& candidates) {
-    return ProbeRows(a, [&](const Mapping& row, auto& emit) {
+    return ProbeRows(a, reserve, [&](const Mapping& row, auto& emit) {
       return probe_row(row, candidates, emit);
     });
   };
@@ -322,7 +313,7 @@ MappingSet MappingSet::Join(const MappingSet& a, const MappingSet& b) {
   if (shared.empty()) return JoinNestedLoop(a, b);
   const bool a_builds = a.size() <= b.size();
   KeyTable table(a_builds ? a : b, std::move(shared));
-  return ProbeRows(a_builds ? b : a,
+  return ProbeRows(a_builds ? b : a, /*reserve=*/0,
                    [&table](const Mapping& row, auto& emit) {
                      return table.ForEachCandidate(
                          row, [&](const Mapping& other) {
@@ -368,7 +359,7 @@ MappingSet MappingSet::UnionSets(const MappingSet& a, const MappingSet& b) {
 MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b) {
   if (a.empty() || b.empty()) return a;
   return ProbeAgainst(
-      a, b,
+      a, b, /*reserve=*/0,
       [](const Mapping& row, const auto& candidates, auto& emit) {
         bool matched = false;
         uint64_t probes =
@@ -384,8 +375,11 @@ MappingSet MappingSet::Minus(const MappingSet& a, const MappingSet& b) {
 MappingSet MappingSet::LeftOuterJoin(const MappingSet& a,
                                      const MappingSet& b) {
   if (a.empty() || b.empty()) return a;
+  // Every Ω1 row emits at least one row. When Ω1's rows share one domain
+  // those rows are all distinct, so |Ω1| is a floor; rows of different
+  // domains can extend to one and the same row, leaving room unused.
   return ProbeAgainst(
-      a, b,
+      a, b, /*reserve=*/a.size(),
       [](const Mapping& row, const auto& candidates, auto& emit) {
         bool matched = false;
         uint64_t probes =

@@ -1,6 +1,8 @@
 #include "eval/evaluator.h"
 
+#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "algebra/pattern_printer.h"
 #include "eval/ns.h"
@@ -189,8 +191,15 @@ MappingSet Evaluator::EvalUnionSpine(const Pattern& p) const {
   }
   // Folding left to right with the deduplicating Add reproduces exactly
   // what the recursive UnionSets nest would: first occurrence wins, in
-  // disjunct order.
+  // disjunct order. The union holds at least its largest part; the sum of
+  // the parts only bounds it, so growth past the largest is left to
+  // doubling rather than reserved.
+  size_t largest = 0;
+  for (const MappingSet& part : parts) {
+    largest = std::max(largest, part.size());
+  }
   MappingSet out = std::move(parts[0]);
+  out.Reserve(largest);
   for (size_t i = 1; i < parts.size(); ++i) {
     for (const Mapping& m : parts[i]) out.Add(m);
   }
@@ -242,28 +251,54 @@ MappingSet Evaluator::IndexJoinWithTriple(const MappingSet& left,
 }
 
 MappingSet Evaluator::EvalTriple(const TriplePattern& t) const {
-  MappingSet out;
-  TermId s = t.s.is_iri() ? t.s.iri() : kInvalidTermId;
-  TermId p = t.p.is_iri() ? t.p.iri() : kInvalidTermId;
-  TermId o = t.o.is_iri() ? t.o.iri() : kInvalidTermId;
+  // dom(µ) = var(t). Each variable reads the first position it occupies;
+  // `slots` lists them in VarId order, so a row is built by appending, and
+  // a repeated variable's later positions must agree with its first.
+  const Term terms[3] = {t.s, t.p, t.o};
+  struct Slot {
+    VarId var;
+    int pos;
+  };
+  Slot slots[3];
+  int num_slots = 0;
+  int same_as[3] = {-1, -1, -1};
+  bool repeats = false;
+  for (int i = 0; i < 3; ++i) {
+    if (!terms[i].is_var()) continue;
+    for (int j = 0; j < i && same_as[i] < 0; ++j) {
+      if (terms[j] == terms[i]) same_as[i] = j;
+    }
+    if (same_as[i] < 0) {
+      slots[num_slots++] = {terms[i].var(), i};
+    } else {
+      repeats = true;
+    }
+  }
+  for (int k = 1; k < num_slots; ++k) {
+    for (int j = k; j > 0 && slots[j].var < slots[j - 1].var; --j) {
+      std::swap(slots[j], slots[j - 1]);
+    }
+  }
 
-  graph_->Match(s, p, o, [&t, &out](const Triple& match) {
-    // Build µ with dom(µ) = var(t); repeated variables must agree.
+  auto bound = [](Term term) {
+    return term.is_iri() ? term.iri() : kInvalidTermId;
+  };
+  Graph::Matches matches =
+      graph_->Find(bound(t.s), bound(t.p), bound(t.o));
+  MappingSet out;
+  // Distinct matches give distinct rows, so without a repeated variable
+  // (which filters matches) the match count is the exact size.
+  if (!repeats) out.Reserve(matches.size());
+  matches.ForEach([&](const Triple& match) {
+    const TermId values[3] = {match.s, match.p, match.o};
+    for (int i = 0; i < 3; ++i) {
+      if (same_as[i] >= 0 && values[i] != values[same_as[i]]) return;
+    }
     Mapping m;
-    bool ok = true;
-    auto bind = [&m, &ok](Term term, TermId value) {
-      if (!term.is_var() || !ok) return;
-      std::optional<TermId> existing = m.Get(term.var());
-      if (existing.has_value()) {
-        if (*existing != value) ok = false;
-      } else {
-        m.Set(term.var(), value);
-      }
-    };
-    bind(t.s, match.s);
-    bind(t.p, match.p);
-    bind(t.o, match.o);
-    if (ok) out.Add(std::move(m));
+    for (int k = 0; k < num_slots; ++k) {
+      m.Append(slots[k].var, values[slots[k].pos]);
+    }
+    out.Add(std::move(m));
   });
   if (OpCounters* oc = ScopedOpCounters::Current()) ++oc->index_probes;
   return out;

@@ -11,12 +11,14 @@ namespace rdfql {
 /// Reference implementation: O(n²) pairwise subsumption tests.
 MappingSet RemoveSubsumedNaive(const MappingSet& input);
 
-/// Optimized implementation: buckets mappings by domain, then for each
-/// strict superset pair of domains (D ⊊ D') probes a hash set of the
-/// D-projections of bucket D'. When the number of distinct domains is small
-/// (the common case — domains come from the pattern's OPT/UNION structure),
-/// this is near-linear instead of quadratic. Survivors keep the input's
-/// order.
+/// Optimized implementation: groups mappings by domain, then for each
+/// strict superset pair of domains (D ⊊ D') probes every live mapping of
+/// bucket D against a flat table of the distinct D-projections of bucket D',
+/// marking victims in a position bitmap. When the number of distinct
+/// domains is small (the common case — domains come from the pattern's
+/// OPT/UNION structure), this is near-linear instead of quadratic.
+/// Survivors keep the input's order. Each table is charged to the installed
+/// ResourceAccountant, as its distinct projections, while it lives.
 MappingSet RemoveSubsumedBucketed(const MappingSet& input);
 
 /// True iff no mapping of the set is properly subsumed by another

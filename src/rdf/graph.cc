@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -39,50 +40,37 @@ void SortBy(std::vector<Triple>* v) {
 // pay one extra binary search plus a two-way merge.
 size_t SideRebuildThreshold(size_t base_size) { return 64 + base_size / 8; }
 
-// Finds the [lower, end-of-prefix) range of `index` whose first `bound`
-// key components equal `k1[,k2]`.
+// The run of `index` whose first `bound` key components equal `k1[,k2]`:
+// a binary search for its start, then a galloping search for its end, so
+// the end costs O(log #matches) and a point lookup about one search.
 template <typename Key>
-std::pair<const Triple*, const Triple*> PrefixRange(
-    const std::vector<Triple>& index, TermId k1, TermId k2, int bound) {
-  auto lower = std::lower_bound(
-      index.begin(), index.end(), std::make_pair(k1, k2),
-      [bound](const Triple& t, const std::pair<TermId, TermId>& key) {
-        auto tk = Key()(t);
-        if (std::get<0>(tk) != key.first) return std::get<0>(tk) < key.first;
-        if (bound < 2) return false;
-        return std::get<1>(tk) < key.second;
-      });
-  auto it = lower;
-  for (; it != index.end(); ++it) {
-    auto tk = Key()(*it);
-    if (std::get<0>(tk) != k1) break;
-    if (bound >= 2 && std::get<1>(tk) != k2) break;
+std::span<const Triple> PrefixRange(const std::vector<Triple>& index,
+                                    TermId k1, TermId k2, int bound) {
+  // Whether t's bound key components sort before (k1[,k2]), and whether
+  // they sort before or equal it; most probes differ in the first.
+  auto before = [&](const Triple& t) {
+    auto tk = Key()(t);
+    if (std::get<0>(tk) != k1) return std::get<0>(tk) < k1;
+    return bound >= 2 && std::get<1>(tk) < k2;
+  };
+  auto in_run = [&](const Triple& t) {
+    auto tk = Key()(t);
+    if (std::get<0>(tk) != k1) return std::get<0>(tk) < k1;
+    return bound < 2 || std::get<1>(tk) <= k2;
+  };
+  const auto end = index.end();
+  auto lower = std::partition_point(index.begin(), end, before);
+  // Every triple in [lower, inside) is in the run; `probe` doubles its
+  // distance from `lower` until it leaves the run or reaches the end.
+  auto inside = lower;
+  auto probe = lower;
+  for (ptrdiff_t step = 1; probe != end && in_run(*probe); step *= 2) {
+    inside = probe + 1;
+    probe += std::min(step, end - probe);
   }
+  auto upper = std::partition_point(inside, probe, in_run);
   return {index.data() + (lower - index.begin()),
-          index.data() + (it - index.begin())};
-}
-
-// Scans base and side for the bound prefix, merging the two sorted ranges
-// in key order so callbacks fire exactly as they would from one fully
-// sorted index (keys are unique: distinct triples, permutation keys).
-template <typename Key>
-size_t ScanPrefix(const std::vector<Triple>& base,
-                  const std::vector<Triple>& side, TermId k1, TermId k2,
-                  int bound, const std::function<void(const Triple&)>& fn) {
-  auto [b, b_end] = PrefixRange<Key>(base, k1, k2, bound);
-  auto [s, s_end] = PrefixRange<Key>(side, k1, k2, bound);
-  size_t count = 0;
-  while (b != b_end && s != s_end) {
-    if (Key()(*b) < Key()(*s)) {
-      fn(*b++);
-    } else {
-      fn(*s++);
-    }
-    ++count;
-  }
-  for (; b != b_end; ++b, ++count) fn(*b);
-  for (; s != s_end; ++s, ++count) fn(*s);
-  return count;
+          static_cast<size_t>(upper - lower)};
 }
 
 }  // namespace
@@ -190,62 +178,52 @@ void Graph::EnsureIndex(IndexKind kind) const {
   idx.covered = triples_.size();
 }
 
-size_t Graph::Match(TermId s, TermId p, TermId o,
-                    const std::function<void(const Triple&)>& fn) const {
+bool Graph::KeyLess(int kind, const Triple& a, const Triple& b) {
+  switch (kind) {
+    case kSpo:
+      return SpoKey()(a) < SpoKey()(b);
+    case kPos:
+      return PosKey()(a) < PosKey()(b);
+    default:
+      return OspKey()(a) < OspKey()(b);
+  }
+}
+
+Graph::Matches Graph::Find(TermId s, TermId p, TermId o) const {
   const bool bs = s != kInvalidTermId;
   const bool bp = p != kInvalidTermId;
   const bool bo = o != kInvalidTermId;
+  Matches out;
 
   if (bs && bp && bo) {
-    Triple t(s, p, o);
-    if (Contains(t)) {
-      fn(t);
-      return 1;
-    }
-    return 0;
+    // The dedup set's node holds the triple at a stable address.
+    auto it = set_.find(Triple(s, p, o));
+    if (it != set_.end()) out.base_ = {&*it, 1};
+    return out;
   }
   if (!bs && !bp && !bo) {
-    for (const Triple& t : triples_) fn(t);
-    return triples_.size();
+    out.base_ = triples_;
+    return out;
   }
 
   // Pick the index whose order makes the bound positions a prefix. The one
-  // combination with no contiguous prefix (s and o bound, p free) uses OSP
-  // with a post-filter on s handled by the two-component scan (o, s bound).
-  if (bs && bp) {
-    EnsureIndex(kSpo);
-    const Index& idx = index_[kSpo];
-    return ScanPrefix<SpoKey>(idx.base, idx.side, s, p, 2, fn);
-  }
-  if (bp && bo) {
-    EnsureIndex(kPos);
-    const Index& idx = index_[kPos];
-    return ScanPrefix<PosKey>(idx.base, idx.side, p, o, 2, fn);
-  }
-  if (bo && bs) {
-    EnsureIndex(kOsp);
-    const Index& idx = index_[kOsp];
-    return ScanPrefix<OspKey>(idx.base, idx.side, o, s, 2, fn);
-  }
-  if (bs) {
-    EnsureIndex(kSpo);
-    const Index& idx = index_[kSpo];
-    return ScanPrefix<SpoKey>(idx.base, idx.side, s, 0, 1, fn);
-  }
-  if (bp) {
-    EnsureIndex(kPos);
-    const Index& idx = index_[kPos];
-    return ScanPrefix<PosKey>(idx.base, idx.side, p, 0, 1, fn);
-  }
-  EnsureIndex(kOsp);
-  const Index& idx = index_[kOsp];
-  return ScanPrefix<OspKey>(idx.base, idx.side, o, 0, 1, fn);
-}
-
-size_t Graph::CountMatches(TermId s, TermId p, TermId o) const {
-  size_t n = 0;
-  Match(s, p, o, [&n](const Triple&) { ++n; });
-  return n;
+  // combination with no contiguous prefix in SPO or POS (s and o bound, p
+  // free) uses OSP's (o, s) prefix.
+  auto scan = [&out, this]<typename Key>(IndexKind kind, Key, TermId k1,
+                                          TermId k2, int bound) {
+    EnsureIndex(kind);
+    const Index& idx = index_[kind];
+    out.base_ = PrefixRange<Key>(idx.base, k1, k2, bound);
+    out.side_ = PrefixRange<Key>(idx.side, k1, k2, bound);
+    out.kind_ = kind;
+    return out;
+  };
+  if (bs && bp) return scan(kSpo, SpoKey(), s, p, 2);
+  if (bp && bo) return scan(kPos, PosKey(), p, o, 2);
+  if (bo && bs) return scan(kOsp, OspKey(), o, s, 2);
+  if (bs) return scan(kSpo, SpoKey(), s, 0, 1);
+  if (bp) return scan(kPos, PosKey(), p, 0, 1);
+  return scan(kOsp, OspKey(), o, 0, 1);
 }
 
 bool Graph::IsSubsetOf(const Graph& other) const {

@@ -3,8 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <shared_mutex>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -30,7 +30,7 @@ namespace rdfql {
 /// generators) pay O(side · log side) per touched index instead of a full
 /// O(n log n) re-sort after every insert.
 ///
-/// Concurrent *reads* (Match, CountMatches, ApproxBytes, copies) are
+/// Concurrent *reads* (Find, Match, CountMatches, ApproxBytes, copies) are
 /// thread-safe: the lazy index build is guarded by a shared mutex, and
 /// once an index covers the full triple set readers scan it without
 /// taking the lock (nothing mutates it again until a write). Writes
@@ -61,13 +61,58 @@ class Graph {
   /// All triples, in insertion order.
   const std::vector<Triple>& triples() const { return triples_; }
 
+  /// The triples matching a partially bound pattern: the two runs of one
+  /// permutation index (its base and side arrays) that carry the bound
+  /// prefix, visited as one merged run in key order; or, with every
+  /// position bound, the one stored triple; or, with none, all triples in
+  /// insertion order. Views into the graph: valid until its next write.
+  class Matches {
+   public:
+    size_t size() const { return base_.size() + side_.size(); }
+
+    /// Calls fn(triple) for every match, in index key order.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      const Triple* b = base_.data();
+      const Triple* b_end = b + base_.size();
+      const Triple* s = side_.data();
+      const Triple* s_end = s + side_.size();
+      while (b != b_end && s != s_end) {
+        if (KeyLess(kind_, *b, *s)) {
+          fn(*b++);
+        } else {
+          fn(*s++);
+        }
+      }
+      for (; b != b_end; ++b) fn(*b);
+      for (; s != s_end; ++s) fn(*s);
+    }
+
+   private:
+    friend class Graph;
+    std::span<const Triple> base_;
+    std::span<const Triple> side_;
+    int kind_ = 0;  // the IndexKind both runs are sorted by
+  };
+
+  /// The triples matching the partially bound pattern; `kInvalidTermId` in
+  /// a position means "any". Per run, a binary search finds its start and
+  /// a galloping search its end: O(log n + log #matches), no scan.
+  Matches Find(TermId s, TermId p, TermId o) const;
+
   /// Invokes `fn` for every triple matching the partially bound pattern;
   /// `kInvalidTermId` in a position means "any". Returns the match count.
-  size_t Match(TermId s, TermId p, TermId o,
-               const std::function<void(const Triple&)>& fn) const;
+  template <typename Fn>
+  size_t Match(TermId s, TermId p, TermId o, Fn&& fn) const {
+    Matches matches = Find(s, p, o);
+    matches.ForEach(fn);
+    return matches.size();
+  }
 
-  /// Number of triples matching the partially bound pattern.
-  size_t CountMatches(TermId s, TermId p, TermId o) const;
+  /// Number of triples matching the partially bound pattern, in O(log n).
+  size_t CountMatches(TermId s, TermId p, TermId o) const {
+    return Find(s, p, o).size();
+  }
 
   /// G1 ⊆ G2.
   bool IsSubsetOf(const Graph& other) const;
@@ -117,6 +162,9 @@ class Graph {
 
   void EnsureIndex(IndexKind kind) const;
   void InvalidateIndexes();
+
+  /// Whether `a` sorts before `b` in index `kind`'s key order.
+  static bool KeyLess(int kind, const Triple& a, const Triple& b);
 
   /// Mints a fresh, never-before-used epoch value.
   static uint64_t NextEpoch();

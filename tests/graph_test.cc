@@ -125,7 +125,9 @@ TEST(GraphTest, EqualityIsSetEquality) {
 
 // Interleaved insert/match workloads exercise the index side buffers: each
 // Match after an Insert must see all triples, in full index order, without
-// rebuilding the base index every time.
+// rebuilding the base index every time. Every combination of bound
+// positions is probed, and CountMatches (range arithmetic, no scan) must
+// count what a scan of all triples finds.
 TEST(GraphTest, InterleavedInsertAndMatchSeesEveryTriple) {
   Rng rng(314);
   Graph incremental;
@@ -133,19 +135,29 @@ TEST(GraphTest, InterleavedInsertAndMatchSeesEveryTriple) {
   for (int i = 0; i < 400; ++i) {
     Triple t(rng.NextBelow(20), rng.NextBelow(6), rng.NextBelow(20));
     if (incremental.Insert(t)) all.push_back(t);
-    // Alternate the probed index so every side buffer gets exercised.
-    TermId s = i % 3 == 0 ? t.s : kInvalidTermId;
-    TermId p = i % 3 == 1 ? t.p : kInvalidTermId;
-    TermId o = i % 3 == 2 ? t.o : kInvalidTermId;
     // A Graph built fresh from the same triples has no side buffers; both
     // must report identical matches in identical order.
     Graph fresh;
     for (const Triple& x : all) fresh.Insert(x);
-    std::vector<Triple> got, want;
-    incremental.Match(s, p, o, [&](const Triple& m) { got.push_back(m); });
-    fresh.Match(s, p, o, [&](const Triple& m) { want.push_back(m); });
-    ASSERT_EQ(got, want) << "iteration " << i;
-    ASSERT_FALSE(want.empty());  // the inserted triple itself matches
+    for (int bound = 0; bound < 8; ++bound) {
+      TermId s = (bound & 1) != 0 ? t.s : kInvalidTermId;
+      TermId p = (bound & 2) != 0 ? t.p : kInvalidTermId;
+      TermId o = (bound & 4) != 0 ? t.o : kInvalidTermId;
+      std::vector<Triple> got, want;
+      size_t n = incremental.Match(
+          s, p, o, [&](const Triple& m) { got.push_back(m); });
+      fresh.Match(s, p, o, [&](const Triple& m) { want.push_back(m); });
+      ASSERT_EQ(got, want) << "iteration " << i << " bound " << bound;
+      ASSERT_FALSE(want.empty());  // the inserted triple itself matches
+      size_t scanned =
+          std::count_if(all.begin(), all.end(), [&](const Triple& x) {
+            return (s == kInvalidTermId || x.s == s) &&
+                   (p == kInvalidTermId || x.p == p) &&
+                   (o == kInvalidTermId || x.o == o);
+          });
+      ASSERT_EQ(n, scanned);
+      ASSERT_EQ(incremental.CountMatches(s, p, o), scanned);
+    }
   }
 }
 
