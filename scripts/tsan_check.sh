@@ -15,7 +15,9 @@
 # log, the engine's shared metric handles, every entry point at once on one
 # engine), and the graph catalog (one writer's inserts and replacements
 # beside 2, 4 and 8 readers, and the shell writing a graph while a spawned
-# job reads it). Pass extra ctest args through, e.g.:
+# job reads it), and the live-monitoring loop end to end (live_monitor_smoke:
+# the sampler thread, the watchdog and the snapshot file against a shell
+# running a spawned query). Pass extra ctest args through, e.g.:
 # scripts/tsan_check.sh -j4
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -26,13 +28,13 @@ cmake --build build-tsan --target \
   evaluator_test engine_test inflight_test telemetry_test \
   query_cache_test profiler_test history_test alerts_test \
   query_log_test metrics_test query_lifecycle_test limits_test \
-  rdfql_shell || exit 1
+  rdfql_shell rdfql_stats rdfql_top || exit 1
 
 # halt_on_error: fail the run on the first report instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest|Readers/EngineCatalogTest|shell_smoke)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest|Readers/EngineCatalogTest|shell_smoke|live_monitor_smoke)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "util/check.h"
 
@@ -38,14 +39,38 @@ void Render(const Pattern& p, const Dictionary& dict, std::string* out) {
               TermToken(p.triple().o, dict) + ")";
       return;
     }
+    case PatternKind::kUnion: {
+      // UCQs and the UNION normal form build spines tens of thousands of
+      // nodes deep: expand them on an explicit stack of pending nodes and
+      // text, so only the disjuncts take a frame each.
+      struct Item {
+        const Pattern* node;
+        const char* text;
+      };
+      std::vector<Item> work{{&p, nullptr}};
+      while (!work.empty()) {
+        Item item = work.back();
+        work.pop_back();
+        if (item.node == nullptr) {
+          *out += item.text;
+        } else if (item.node->kind() != PatternKind::kUnion) {
+          Render(*item.node, dict, out);
+        } else {
+          *out += "(";
+          work.push_back({nullptr, ")"});
+          work.push_back({item.node->right().get(), nullptr});
+          work.push_back({nullptr, " UNION "});
+          work.push_back({item.node->left().get(), nullptr});
+        }
+      }
+      return;
+    }
     case PatternKind::kAnd:
-    case PatternKind::kUnion:
     case PatternKind::kOpt:
     case PatternKind::kMinus: {
-      const char* op = p.kind() == PatternKind::kAnd     ? "AND"
-                       : p.kind() == PatternKind::kUnion ? "UNION"
-                       : p.kind() == PatternKind::kOpt   ? "OPT"
-                                                         : "MINUS";
+      const char* op = p.kind() == PatternKind::kAnd   ? "AND"
+                       : p.kind() == PatternKind::kOpt ? "OPT"
+                                                       : "MINUS";
       *out += "(";
       Render(*p.left(), dict, out);
       *out += " ";

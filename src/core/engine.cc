@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <chrono>
-#include <cstdio>
 #include <optional>
 
 #include "algebra/pattern_printer.h"
@@ -16,24 +15,12 @@
 #include "transform/opt_rewriter.h"
 #include "transform/select_free.h"
 #include "transform/wd_to_simple.h"
+#include "util/clock.h"
 #include "util/profile_state.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t UnixMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The query log's typed-outcome vocabulary, one token per StatusCode.
 const char* OutcomeString(StatusCode code) {
@@ -65,34 +52,6 @@ bool CrossedSlowThreshold(const QueryLogRecord& record, const QueryLog& log) {
   return slow_ms != 0 && record.parse_ns + record.eval_ns >= slow_ms * 1'000'000;
 }
 
-std::string PhaseString(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  }
-  return buf;
-}
-
-std::string BytesString(uint64_t bytes) {
-  char buf[32];
-  if (bytes < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluB",
-                  static_cast<unsigned long long>(bytes));
-  } else if (bytes < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB",
-                  static_cast<double>(bytes) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fMB",
-                  static_cast<double>(bytes) / 1e6);
-  }
-  return buf;
-}
-
 std::string LimitsString(const ResourceLimits& limits) {
   if (!limits.Enforced()) return "none";
   std::string out;
@@ -107,7 +66,7 @@ std::string LimitsString(const ResourceLimits& limits) {
     append("live_mappings=" + std::to_string(limits.max_live_mappings));
   }
   if (limits.max_bytes != 0) {
-    append("bytes=" + BytesString(limits.max_bytes));
+    append("bytes=" + FormatBytes(limits.max_bytes));
   }
   if (limits.max_ast_nodes != 0) {
     append("ast_nodes=" + std::to_string(limits.max_ast_nodes));
@@ -142,17 +101,17 @@ Engine::~Engine() {
 }
 
 std::string QueryExplanation::ToString() const {
-  std::string out = "parse: " + PhaseString(parse_ns) +
-                    "  eval: " + PhaseString(eval_ns) + "  mem: peak " +
+  std::string out = "parse: " + FormatNs(parse_ns) +
+                    "  eval: " + FormatNs(eval_ns) + "  mem: peak " +
                     std::to_string(peak_mappings) + " mappings / " +
-                    BytesString(peak_bytes) + "\n";
+                    FormatBytes(peak_bytes) + "\n";
   out += "limits: " + LimitsString(limits) + "\n";
   if (!cache_note.empty()) out += "cache: " + cache_note + "\n";
   if (hist_queries > 0) {
     out += "time: eval p50=" +
-           PhaseString(static_cast<uint64_t>(eval_p50_ns)) +
-           " p90=" + PhaseString(static_cast<uint64_t>(eval_p90_ns)) +
-           " p99=" + PhaseString(static_cast<uint64_t>(eval_p99_ns)) +
+           FormatNs(static_cast<uint64_t>(eval_p50_ns)) +
+           " p90=" + FormatNs(static_cast<uint64_t>(eval_p90_ns)) +
+           " p99=" + FormatNs(static_cast<uint64_t>(eval_p99_ns)) +
            " (n=" + std::to_string(hist_queries) + ")\n";
   }
   out += explanation.ToString();
@@ -374,7 +333,7 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
     rec.correlation_id = log->NextCorrelationId();
     rec.graph = graph_name;
     rec.query = query;
-    rec.unix_ms = UnixMs();
+    rec.unix_ms = UnixNowMs();
   }
   InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
                         label, rec.query_hash);
@@ -428,13 +387,13 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
     cc.graph_epoch = graph->Epoch();
     cc.epoch_known = true;
     if (explain == nullptr) {
-      uint64_t t0 = recording ? NowNs() : 0;
+      uint64_t t0 = recording ? SteadyNowNs() : 0;
       if (std::shared_ptr<const MappingSet> hit = cc.cache->GetResult(
               cc.ResultKey(graph_name, options), cc.canonical)) {
         cc.result_hit = true;
         // The lookup *is* this query's evaluation: the latency histogram
         // and the log see what the caller experienced.
-        rec.eval_ns = recording ? NowNs() - t0 : 0;
+        rec.eval_ns = recording ? SteadyNowNs() - t0 : 0;
         rec.rows_out = hit->size();
         // The fragment rides on the plan entry; peek so the lookup stays
         // out of the plan cache's hit/miss accounting.
@@ -454,12 +413,12 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
   }
 
   if (text) {
-    uint64_t t0 = recording ? NowNs() : 0;
+    uint64_t t0 = recording ? SteadyNowNs() : 0;
     Result<PatternPtr> parsed = [&] {
       ProfileFrame parse_frame("Parse");
       return ParseCached(&cc, query, want_fragment ? &rec.fragment : nullptr);
     }();
-    rec.parse_ns = recording ? NowNs() - t0 : 0;
+    rec.parse_ns = recording ? SteadyNowNs() - t0 : 0;
     // Whenever the parse step ran, plan-cache hits and failures included —
     // the same parse_ns the record carries.
     if (metrics != nullptr) metrics->parse_ns->Observe(rec.parse_ns);
@@ -498,12 +457,12 @@ Result<Engine::Answer> Engine::Run(const std::string& graph_name,
   }
 
   if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  uint64_t t0 = recording ? NowNs() : 0;
+  uint64_t t0 = recording ? SteadyNowNs() : 0;
   Result<MappingSet> result = [&] {
     ProfileFrame eval_frame("Eval");
     return Evaluator(graph, options).EvalChecked(pattern);
   }();
-  rec.eval_ns = recording ? NowNs() - t0 : 0;
+  rec.eval_ns = recording ? SteadyNowNs() - t0 : 0;
   if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
 
   if (const ResourceAccountant* acct = options.accountant) {
@@ -771,17 +730,22 @@ Status Engine::StartTelemetry(const TelemetryOptions& options) {
     return Status::InvalidArgument("telemetry sampler already running");
   }
   EnableLiveMonitoring(true);
-  TelemetryOptions effective = options;
-  // Installed alert rules ride every sampler: the tick records the history
-  // sample and evaluates the rules against it.
-  if (history_ != nullptr) effective.history = history_.get();
-  if (alerts_ != nullptr) effective.alerts = alerts_.get();
-  telemetry_ =
-      std::make_unique<TelemetrySampler>(&metrics_, &inflight_, effective);
+  // Every tick records into a history ring and reads its windows back: the
+  // alert rules' ring when rules are installed (the tick evaluates them
+  // too), otherwise one that lives as long as this sampler.
+  if (history_ == nullptr) {
+    history_ = std::make_unique<MetricsHistory>(
+        TelemetryHistoryOptions(options.interval_ms));
+  }
+  telemetry_ = std::make_unique<TelemetrySampler>(
+      &metrics_, &inflight_, history_.get(), alerts_.get(), options);
   return Status::Ok();
 }
 
-void Engine::StopTelemetry() { telemetry_.reset(); }
+void Engine::StopTelemetry() {
+  telemetry_.reset();
+  if (alerts_ == nullptr) history_.reset();
+}
 
 Status Engine::SetAlertRules(const std::string& rules_json,
                              const AlertLogOptions& log_options,

@@ -326,6 +326,9 @@ class Engine {
   /// Starts the background telemetry sampler (and the watchdog, when
   /// `options.watchdog` enforces anything) over this engine's metrics and
   /// registry. Implies EnableLiveMonitoring(). Fails if already running.
+  /// The sampler records every tick into history(): the alert rules' ring
+  /// when rules are installed, otherwise a ring sized by
+  /// TelemetryHistoryOptions(options.interval_ms) that StopTelemetry drops.
   /// `options.interval_ms == 0` creates the sampler without a thread —
   /// drive it manually with telemetry()->TickNow() (tests, single-shot
   /// tools).
@@ -366,8 +369,10 @@ class Engine {
     return alerts_ != nullptr ? alerts_->Snapshot() : rdfql::AlertSnapshot{};
   }
 
-  /// The installed alert engine / history ring, or null.
+  /// The installed alert engine, or null.
   AlertEngine* alerts() { return alerts_.get(); }
+  /// The history ring: the alert rules' while they are installed, else the
+  /// running sampler's; null when neither exists.
   MetricsHistory* history() { return history_.get(); }
 
   // --- Profiling ---
@@ -592,7 +597,8 @@ class Engine {
   bool live_monitoring_ = false;
   InflightRegistry inflight_;
   std::unique_ptr<TelemetrySampler> telemetry_;
-  // History ring + alert engine (SetAlertRules); the sampler borrows raw
+  // History ring + alert engine (SetAlertRules), or a ring of the running
+  // sampler's own (StartTelemetry without rules). The sampler borrows raw
   // pointers to both, so they must outlive any running telemetry — which
   // SetAlertRules/ClearAlertRules enforce by refusing to run mid-sampling.
   std::unique_ptr<MetricsHistory> history_;

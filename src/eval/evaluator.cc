@@ -61,30 +61,12 @@ MappingSet Evaluator::Eval(const PatternPtr& pattern) const {
   return result;
 }
 
-MappingSet Evaluator::EvalMax(const PatternPtr& pattern) const {
-  RDFQL_CHECK(pattern != nullptr);
-  std::optional<ScopedAccounting> install;
-  if (options_.accountant != nullptr) install.emplace(options_.accountant);
-  MappingSet result = ApplyNs(EvalNode(*pattern));
-  result.DetachAccounting();
-  return result;
-}
-
 Result<MappingSet> Evaluator::EvalChecked(const PatternPtr& pattern) const {
-  return EvalGoverned(pattern, /*max=*/false);
-}
-
-Result<MappingSet> Evaluator::EvalMaxChecked(const PatternPtr& pattern) const {
-  return EvalGoverned(pattern, /*max=*/true);
-}
-
-Result<MappingSet> Evaluator::EvalGoverned(const PatternPtr& pattern,
-                                           bool max) const {
   RDFQL_CHECK(pattern != nullptr);
   if (!options_.governed()) {
     // Nothing to enforce: take the plain path (no token install, so the
     // per-operator checkpoints stay a null test).
-    return max ? EvalMax(pattern) : Eval(pattern);
+    return Eval(pattern);
   }
   CancellationToken local_token;
   CancellationToken* token =
@@ -110,17 +92,11 @@ Result<MappingSet> Evaluator::EvalGoverned(const PatternPtr& pattern,
   std::optional<ScopedAccounting> install_acct;
   if (acct != nullptr) install_acct.emplace(acct);
   ScopedCancellation install_token(token);
-  MappingSet result = max ? ApplyNs(EvalNode(*pattern)) : EvalNode(*pattern);
+  MappingSet result = EvalNode(*pattern);
   if (acct != nullptr) acct->DisarmCaps();
   if (token->cancelled()) return token->status();
   result.DetachAccounting();
   return result;
-}
-
-MappingSet Evaluator::ApplyNs(const MappingSet& input) const {
-  return options_.ns == EvalOptions::NsAlgo::kBucketed
-             ? RemoveSubsumedBucketed(input)
-             : RemoveSubsumedNaive(input);
 }
 
 void Evaluator::EvalBranches(const Pattern& left, const Pattern& right,
@@ -391,17 +367,8 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
       return MappingSet::Join(l, r);
     }
-    case PatternKind::kUnion: {
-      // Without a tracer the whole UNION spine is flattened (stack safety
-      // on deep UCQ chains + multi-way parallel disjuncts); the traced
-      // path recurses two-way so each UNION node keeps its own span.
-      if (options_.tracer == nullptr) {
-        return EvalUnionSpine(p);
-      }
-      MappingSet l = EvalNode(*p.left());
-      MappingSet r = EvalNode(*p.right());
-      return MappingSet::UnionSets(l, r);
-    }
+    case PatternKind::kUnion:
+      return EvalUnionSpine(p);
     case PatternKind::kOpt: {
       // ⟦P2⟧G is materialized whatever the join strategy (see the note on
       // EvalOptions::Join::kIndexNestedLoop in evaluator.h).
@@ -451,8 +418,12 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       }
       return out;
     }
-    case PatternKind::kNs:
-      return ApplyNs(EvalNode(*p.child()));
+    case PatternKind::kNs: {
+      MappingSet in = EvalNode(*p.child());
+      return options_.ns == EvalOptions::NsAlgo::kBucketed
+                 ? RemoveSubsumedBucketed(in)
+                 : RemoveSubsumedNaive(in);
+    }
   }
   RDFQL_CHECK_MSG(false, "unreachable");
   return MappingSet();

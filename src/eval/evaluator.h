@@ -105,10 +105,10 @@ struct EvalOptions {
   CacheMode use_result_cache = CacheMode::kDefault;
 
   // --- Resource governance (opt-in; see docs/robustness.md) ---
-  /// Budgets enforced by EvalChecked/EvalMaxChecked: wall clock, live
-  /// mappings and approximate bytes (max_ast_nodes only concerns the
-  /// translation pipeline). The plain Eval/EvalMax entry points ignore
-  /// these fields — they cannot report an error.
+  /// Budgets enforced by EvalChecked: wall clock, live mappings and
+  /// approximate bytes (max_ast_nodes only concerns the translation
+  /// pipeline). The plain Eval entry point ignores these fields — it
+  /// cannot report an error.
   ResourceLimits limits;
   /// Absolute deadline; combined with limits.max_wall_ms (whichever fires
   /// first). Default: never.
@@ -136,11 +136,9 @@ class Evaluator {
     Init();
   }
 
-  /// ⟦P⟧G.
+  /// ⟦P⟧G. ⟦P⟧max_G, the maximal answers of Section 5.1, is
+  /// Eval(Pattern::Ns(P)).
   MappingSet Eval(const PatternPtr& pattern) const;
-
-  /// ⟦P⟧max_G — the maximal answers (Section 5.1).
-  MappingSet EvalMax(const PatternPtr& pattern) const;
 
   /// ⟦P⟧G under the options' resource governance: enforces
   /// options.limits / options.deadline / options.cancel cooperatively and
@@ -150,11 +148,7 @@ class Evaluator {
   /// Eval() whenever no limit trips.
   Result<MappingSet> EvalChecked(const PatternPtr& pattern) const;
 
-  /// EvalMax with the same governance contract as EvalChecked.
-  Result<MappingSet> EvalMaxChecked(const PatternPtr& pattern) const;
-
  private:
-  Result<MappingSet> EvalGoverned(const PatternPtr& pattern, bool max) const;
   /// Resolves options_.threads/pool into pool_ (see EvalOptions::pool) and
   /// options_.metrics into counters_.
   void Init();
@@ -177,15 +171,14 @@ class Evaluator {
   /// Evaluates the in-order disjuncts of a maximal UNION spine and folds
   /// them left to right — iteratively, because UCQ expansions build spines
   /// tens of thousands of nodes deep that would overflow the stack if each
-  /// level recursed. Used whenever no tracer is attached (the traced path
-  /// keeps per-node recursion so every UNION node gets its span). The
-  /// inner UNION nodes it folds still count toward eval.nodes; never
-  /// built, they report no mappings_out of their own.
+  /// level recursed. Every UNION takes this path: under a tracer the spine
+  /// is one UNION span with the disjuncts as its children. The inner UNION
+  /// nodes it folds still count toward eval.nodes; never built, they
+  /// report no mappings_out (or span) of their own.
   MappingSet EvalUnionSpine(const Pattern& p) const;
   MappingSet EvalTriple(const TriplePattern& t) const;
   MappingSet IndexJoinWithTriple(const MappingSet& left,
                                  const TriplePattern& t) const;
-  MappingSet ApplyNs(const MappingSet& input) const;
   /// Span label for a node ("(?x p ?y)" for triples, the condition for
   /// FILTER, ...); empty without options_.trace_dict.
   std::string NodeDetail(const Pattern& p) const;

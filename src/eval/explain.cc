@@ -1,9 +1,8 @@
 #include "eval/explain.h"
 
-#include <cstdio>
-
 #include "obs/tracer.h"
 #include "util/check.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
@@ -14,24 +13,11 @@ size_t Total(const PlanNode& node) {
   return n;
 }
 
-void AppendTime(uint64_t ns, std::string* out) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  }
-  out->append(buf);
-}
-
 void Render(const PlanNode& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += node.label + " [" + std::to_string(node.cardinality) + "]";
   *out += " (t=";
-  AppendTime(node.wall_ns, out);
+  *out += FormatNs(node.wall_ns);
   for (const auto& [name, value] : node.counters) {
     if (name == "mappings_out" || value == 0) continue;
     *out += " " + name + "=" + std::to_string(value);

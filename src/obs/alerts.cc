@@ -332,46 +332,19 @@ bool ParseAlertLogLine(std::string_view line, AlertTransition* out,
   return true;
 }
 
-AlertLog::AlertLog(AlertLogOptions options) : options_([&options] {
-      if (options.ring_capacity == 0) options.ring_capacity = 1;
-      return std::move(options);
-    }()) {
-  if (!options_.path.empty()) {
-    file_ = std::fopen(options_.path.c_str(), options_.append ? "a" : "w");
-    if (file_ == nullptr) {
-      error_ = "cannot open alert log '" + options_.path + "'";
-    }
-  }
-}
-
-AlertLog::~AlertLog() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
-}
+AlertLog::AlertLog(AlertLogOptions options)
+    : options_(std::move(options)),
+      sink_(options_.path, options_.append, options_.ring_capacity,
+            "alert log") {}
 
 void AlertLog::Record(const AlertTransition& transition) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
-  // Serialize outside the lock — same discipline as QueryLog::Record.
-  std::string line = transition.ToJson();
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(transition);
-  while (ring_.size() > options_.ring_capacity) ring_.pop_front();
-  if (file_ != nullptr) {
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fflush(file_);
+  std::string line;
+  if (sink_.has_file()) {
+    line = transition.ToJson();
+    line.push_back('\n');
   }
-}
-
-std::vector<AlertTransition> AlertLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<AlertTransition>(ring_.begin(), ring_.end());
-}
-
-void AlertLog::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) std::fflush(file_);
+  sink_.Append(transition, line);
 }
 
 size_t AlertSnapshot::FiringNow() const {

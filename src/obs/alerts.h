@@ -43,14 +43,11 @@
 // moves an idle rule to pending (and straight to firing once it has held
 // for `for`); while firing, the condition must stay clear for `keep`
 // (hysteresis) before the rule resolves. Every transition appends one JSONL
-// record to the alert log, which reuses the query-log sink discipline:
-// serialize outside the lock, one fwrite+fflush per line under it, bounded
-// in-memory ring for live introspection.
+// record to the alert log, the same ring-plus-JSONL sink the query log
+// writes through (obs/jsonl_sink.h).
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <deque>
 #include <mutex>
 #include <set>
 #include <string>
@@ -59,6 +56,7 @@
 #include <vector>
 
 #include "obs/history.h"
+#include "obs/jsonl_sink.h"
 
 namespace rdfql {
 
@@ -136,35 +134,30 @@ struct AlertLogOptions {
   size_t ring_capacity = 256;
 };
 
-/// JSONL sink for alert transitions; same discipline as QueryLog: records
-/// serialize outside the lock, the file sees one fwrite+fflush per line
-/// under it, and a bounded ring keeps the latest transitions for live
-/// introspection.
+/// JSONL sink for alert transitions: the latest transitions in a bounded
+/// ring for live introspection, every one in the file (a JsonlSink, like
+/// QueryLog).
 class AlertLog {
  public:
   explicit AlertLog(AlertLogOptions options = AlertLogOptions());
-  ~AlertLog();
   AlertLog(const AlertLog&) = delete;
   AlertLog& operator=(const AlertLog&) = delete;
 
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
+  bool ok() const { return sink_.error().empty(); }
+  const std::string& error() const { return sink_.error(); }
   const AlertLogOptions& options() const { return options_; }
 
   void Record(const AlertTransition& transition);
-  std::vector<AlertTransition> Snapshot() const;
+  std::vector<AlertTransition> Snapshot() const { return sink_.Snapshot(); }
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
-  void Flush();
+  void Flush() { sink_.Flush(); }
 
  private:
   const AlertLogOptions options_;
-  std::string error_;
+  JsonlSink<AlertTransition> sink_;
   std::atomic<uint64_t> recorded_{0};
-  mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;
-  std::deque<AlertTransition> ring_;
 };
 
 /// Point-in-time view of every rule's state.

@@ -55,9 +55,9 @@ void MergeBuckets(const std::vector<std::pair<uint64_t, uint64_t>>& from,
   *into = std::move(merged);
 }
 
+}  // namespace
+
 bool WriteFileAtomic(const std::string& path, const std::string& text) {
-  // Same discipline as the telemetry sampler's snapshot writer: a reader
-  // following the path sees either the previous complete file or this one.
   std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
@@ -70,8 +70,6 @@ bool WriteFileAtomic(const std::string& path, const std::string& text) {
   }
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
-
-}  // namespace
 
 std::string HistorySample::ToJson() const {
   std::string out = "{";

@@ -3,16 +3,16 @@
 
 // MetricsHistory — a bounded in-process time series over a MetricsRegistry.
 //
-// Every observability surface before this one (rdfql_top, telemetry
-// snapshots, OpenMetrics scrapes) shows the current instant only. The
-// history ring keeps a window of the recent past as *deltas* between
+// The history ring keeps a window of the recent past as *deltas* between
 // consecutive registry snapshots: each Record() call diffs the new snapshot
 // against the previous one and stores only what changed — counter
 // increments, histogram bucket increments, and the gauge values at the
 // sample's end. Deltas make window queries trivial (rate over 5 m = sum of
 // deltas in the window / seconds) and survive a MetricsRegistry::Reset()
 // mid-stream: a counter that goes backwards clamps to a zero delta instead
-// of underflowing, exactly like the TelemetrySampler's own window diffing.
+// of underflowing. The telemetry sampler records one sample per tick and
+// publishes its newest samples as the snapshot's windows, so this is the
+// engine's only window diffing.
 //
 // Retention is two-tier. A fine ring holds every sample (one per telemetry
 // tick, typically 1 s) for `fine_retention_ms`; samples aging out of the
@@ -24,8 +24,8 @@
 // last" style questions. The alert engine (obs/alerts.h) evaluates its
 // burn-rate windows against exactly these queries.
 //
-// Persistence is JSONL, one sample per line, written atomically with the
-// telemetry sampler's temp+rename discipline so a reader never sees a torn
+// Persistence is JSONL, one sample per line, written by WriteFileAtomic
+// (the telemetry snapshot file's writer too) so a reader never sees a torn
 // file.
 
 #include <cstdint>
@@ -67,6 +67,12 @@ struct HistorySample {
 /// input.
 bool ParseHistorySample(std::string_view line, HistorySample* out,
                         std::string* error);
+
+/// Replaces `path` with `text` through a temp file and a rename, so a
+/// reader following the path sees either the previous complete file or
+/// this one. Returns false, leaving `path` as it was, when any write,
+/// close or rename fails.
+bool WriteFileAtomic(const std::string& path, const std::string& text);
 
 struct HistoryOptions {
   /// How long samples stay at full (per-tick) resolution.
@@ -120,6 +126,18 @@ class MetricsHistory {
 
   /// Copy of the retained samples, oldest first (coarse, then fine).
   std::vector<HistorySample> Samples() const;
+
+  /// Calls fn(const HistorySample&) on each of the newest `n` samples at
+  /// full resolution, oldest first, under the ring's lock (fn must not call
+  /// back into the ring).
+  template <typename Fn>
+  void VisitRecent(size_t n, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = fine_.size() > n ? fine_.size() - n : 0; i < fine_.size();
+         ++i) {
+      fn(fine_[i]);
+    }
+  }
 
   size_t fine_size() const;
   size_t coarse_size() const;

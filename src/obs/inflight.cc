@@ -1,26 +1,13 @@
 #include "obs/inflight.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/clock.h"
+
 namespace rdfql {
 namespace {
-
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// "1.2s" / "345ms" — compact wall-time for the .ps table.
 std::string FormatWall(uint64_t ns) {

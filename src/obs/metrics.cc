@@ -243,9 +243,4 @@ void MetricsRegistry::Reset() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
-MetricsRegistry* MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return registry;
-}
-
 }  // namespace rdfql

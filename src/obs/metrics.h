@@ -129,9 +129,6 @@ class MetricsRegistry {
   /// Zeroes every metric (names stay registered; pointers stay valid).
   void Reset();
 
-  /// Process-wide registry for callers without a better home.
-  static MetricsRegistry* Global();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

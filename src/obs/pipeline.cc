@@ -1,32 +1,13 @@
 #include "obs/pipeline.h"
 
-#include <chrono>
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "util/clock.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::string FormatNs(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  }
-  return buf;
-}
 
 void AppendShapeJson(const PatternShape& s, std::string* out) {
   char buf[128];
@@ -141,7 +122,7 @@ ScopedStage::ScopedStage(PipelineReport* report, std::string name,
   if (report_ == nullptr) return;
   stage_.name = std::move(name);
   stage_.in = in;
-  start_ns_ = NowNs();
+  start_ns_ = SteadyNowNs();
   if (Tracer* tracer = report_->tracer()) {
     // The span nests naturally: an instrumented transform that calls
     // another instrumented transform opens the inner span inside this one.
@@ -151,7 +132,7 @@ ScopedStage::ScopedStage(PipelineReport* report, std::string name,
 
 ScopedStage::~ScopedStage() {
   if (report_ == nullptr) return;
-  stage_.wall_ns = NowNs() - start_ns_;
+  stage_.wall_ns = SteadyNowNs() - start_ns_;
   if (span_ != nullptr) {
     span_->AddCounter("nodes_in", stage_.in.nodes);
     span_->AddCounter("nodes_out", stage_.out.nodes);

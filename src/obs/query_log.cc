@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "obs/json_util.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
@@ -19,21 +20,6 @@ std::string NsString(double ns) {
     std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
   } else {
     std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
-  }
-  return buf;
-}
-
-std::string BytesString(uint64_t bytes) {
-  char buf[32];
-  if (bytes < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluB",
-                  static_cast<unsigned long long>(bytes));
-  } else if (bytes < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB",
-                  static_cast<double>(bytes) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fMB",
-                  static_cast<double>(bytes) / 1e6);
   }
   return buf;
 }
@@ -213,20 +199,11 @@ bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
   return true;
 }
 
-QueryLog::QueryLog(QueryLogOptions options) : options_(std::move(options)) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
+QueryLog::QueryLog(QueryLogOptions options)
+    : options_(std::move(options)),
+      sink_(options_.path, options_.append, options_.ring_capacity,
+            "query log") {
   if (options_.sample_every == 0) options_.sample_every = 1;
-  if (!options_.path.empty()) {
-    file_ = std::fopen(options_.path.c_str(), options_.append ? "a" : "w");
-    if (file_ == nullptr) {
-      error_ = "cannot open query log '" + options_.path + "'";
-    }
-  }
-}
-
-QueryLog::~QueryLog() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) std::fclose(file_);
 }
 
 void QueryLog::Record(QueryLogRecord record) {
@@ -234,55 +211,21 @@ void QueryLog::Record(QueryLogRecord record) {
   bool forced = record.slow || record.outcome != "ok";
   if (!forced && options_.sample_every > 1 &&
       n % options_.sample_every != 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++sampled_out_;
+    sampled_out_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (options_.max_query_bytes != 0 &&
       record.query.size() > options_.max_query_bytes) {
     record.query.resize(options_.max_query_bytes);
   }
-  // Serialize outside the lock; one fwrite per line under it, so records
-  // from concurrent queries never interleave within a line.
+  if (record.slow) slow_.fetch_add(1, std::memory_order_relaxed);
+  logged_.fetch_add(1, std::memory_order_relaxed);
   std::string line;
-  if (file_ != nullptr) {
+  if (sink_.has_file()) {
     line = QueryLogRecordToJson(record);
     line.push_back('\n');
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (record.slow) ++slow_;
-  ++logged_;
-  ring_.push_back(std::move(record));
-  while (ring_.size() > options_.ring_capacity) ring_.pop_front();
-  if (file_ != nullptr) {
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fflush(file_);
-  }
-}
-
-std::vector<QueryLogRecord> QueryLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<QueryLogRecord>(ring_.begin(), ring_.end());
-}
-
-uint64_t QueryLog::records_logged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return logged_;
-}
-
-uint64_t QueryLog::records_sampled_out() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_out_;
-}
-
-uint64_t QueryLog::slow_queries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_;
-}
-
-void QueryLog::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) std::fflush(file_);
+  sink_.Append(std::move(record), line);
 }
 
 // --- Aggregation ---
@@ -410,7 +353,7 @@ std::string QueryLogAggregator::ToText(size_t top_n) const {
   for (const QueryLogRecord* r : by_bytes) {
     std::snprintf(buf, sizeof(buf),
                   "  %10s  %8llu mappings  id=%-6llu %s\n",
-                  BytesString(r->peak_bytes).c_str(),
+                  FormatBytes(r->peak_bytes).c_str(),
                   static_cast<unsigned long long>(r->peak_mappings),
                   static_cast<unsigned long long>(r->correlation_id),
                   Truncated(r->query, 50).c_str());

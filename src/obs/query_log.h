@@ -3,15 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/jsonl_sink.h"
 #include "obs/metrics.h"
 
 namespace rdfql {
@@ -115,21 +113,19 @@ bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
                        std::string* error);
 
 /// A thread-safe structured sink for query records: a bounded in-memory
-/// ring buffer plus an optional JSONL file writer. Record() serializes
-/// outside the lock and writes each line with a single fwrite under the
-/// mutex, so concurrent queries can never interleave bytes within a line.
+/// ring buffer plus an optional JSONL file writer (a JsonlSink, so
+/// concurrent queries can never interleave bytes within a line).
 class QueryLog {
  public:
   explicit QueryLog(QueryLogOptions options = {});
-  ~QueryLog();
 
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
 
   /// False when the configured file could not be opened (the ring buffer
   /// still works); error() carries the reason.
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
+  bool ok() const { return sink_.error().empty(); }
+  const std::string& error() const { return sink_.error(); }
 
   const QueryLogOptions& options() const { return options_; }
 
@@ -144,32 +140,35 @@ class QueryLog {
   void Record(QueryLogRecord record);
 
   /// Copy of the ring buffer, oldest first.
-  std::vector<QueryLogRecord> Snapshot() const;
+  std::vector<QueryLogRecord> Snapshot() const { return sink_.Snapshot(); }
 
   /// Records submitted / kept (written to ring+file) / dropped by
   /// sampling / marked slow.
   uint64_t records_seen() const {
     return seen_.load(std::memory_order_relaxed);
   }
-  uint64_t records_logged() const;
-  uint64_t records_sampled_out() const;
-  uint64_t slow_queries() const;
+  uint64_t records_logged() const {
+    return logged_.load(std::memory_order_relaxed);
+  }
+  uint64_t records_sampled_out() const {
+    return sampled_out_.load(std::memory_order_relaxed);
+  }
+  uint64_t slow_queries() const {
+    return slow_.load(std::memory_order_relaxed);
+  }
 
   /// Flushes the file writer (records are flushed per line already; this
   /// exists for callers that want a barrier, e.g. before forking a reader).
-  void Flush();
+  void Flush() { sink_.Flush(); }
 
  private:
   QueryLogOptions options_;
-  std::string error_;
+  JsonlSink<QueryLogRecord> sink_;
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> seen_{0};
-  mutable std::mutex mu_;
-  std::deque<QueryLogRecord> ring_;  // guarded by mu_
-  std::FILE* file_ = nullptr;        // guarded by mu_
-  uint64_t logged_ = 0;              // guarded by mu_
-  uint64_t sampled_out_ = 0;         // guarded by mu_
-  uint64_t slow_ = 0;                // guarded by mu_
+  std::atomic<uint64_t> logged_{0};
+  std::atomic<uint64_t> sampled_out_{0};
+  std::atomic<uint64_t> slow_{0};
 };
 
 /// Offline workload analysis over query records, shared by tools/

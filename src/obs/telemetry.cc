@@ -4,32 +4,44 @@
 #include "obs/openmetrics.h"
 #include "obs/profiler.h"
 
-#include <cctype>
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
+
+#include "util/clock.h"
 
 namespace rdfql {
 namespace {
 
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+uint64_t CounterIn(const std::map<std::string, uint64_t>& counters,
+                   const char* name) {
+  auto it = counters.find(name);
+  return it != counters.end() ? it->second : 0;
 }
 
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+uint64_t Rejections(const std::map<std::string, uint64_t>& counters) {
+  return CounterIn(counters, "engine.queries_rejected") +
+         CounterIn(counters, "engine.queries_deadline_exceeded") +
+         CounterIn(counters, "engine.queries_cancelled");
 }
 
-uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
+/// One ring sample as a snapshot window, field for field.
+TelemetryWindow WindowFromSample(const HistorySample& s) {
+  TelemetryWindow w;
+  w.end_unix_ms = s.unix_ms;
+  w.seconds = s.seconds;
+  w.queries = CounterIn(s.counters, "engine.queries");
+  w.rejections = Rejections(s.counters);
+  w.watchdog_cancels = CounterIn(s.counters, "engine.queries_watchdog_cancelled");
+  if (auto it = s.histograms.find("engine.eval_ns");
+      it != s.histograms.end()) {
+    w.eval_buckets = it->second;
+    for (const auto& [bound, n] : w.eval_buckets) w.eval_count += n;
+  }
+  return w;
+}
 
 using jsonutil::AppendBool;
 using jsonutil::AppendBuckets;
@@ -328,20 +340,31 @@ bool ParseTelemetrySnapshot(std::string_view json, TelemetrySnapshot* out,
   return true;
 }
 
+HistoryOptions TelemetryHistoryOptions(uint64_t interval_ms) {
+  HistoryOptions options;
+  options.fine_retention_ms =
+      2 * kTelemetryWindows * (interval_ms != 0 ? interval_ms : 1000);
+  options.coarse_bucket_ms = 0;
+  options.coarse_retention_ms = 0;
+  return options;
+}
+
 TelemetrySampler::TelemetrySampler(MetricsRegistry* metrics,
                                    InflightRegistry* inflight,
+                                   MetricsHistory* history,
+                                   AlertEngine* alerts,
                                    TelemetryOptions options)
-    : metrics_(metrics), inflight_(inflight), options_(std::move(options)) {
-  prev_steady_ns_ = SteadyNowNs();
-  if (options_.window_count == 0) options_.window_count = 1;
-  // The history's first record is only a baseline. Take it at start, so
-  // work done before the first tick shows up in that tick's delta, where
-  // alert rules can see it, instead of vanishing into the baseline.
-  if (options_.history != nullptr) {
-    options_.history->Record(
-        metrics_ != nullptr ? metrics_->Snapshot() : RegistrySnapshot(),
-        UnixNowMs());
-  }
+    : metrics_(metrics),
+      inflight_(inflight),
+      history_(history),
+      alerts_(alerts),
+      options_(std::move(options)) {
+  // Record at start: the first tick's window is then this run's first
+  // interval, and work done before that tick shows up in it (where alert
+  // rules can see it) instead of vanishing into the ring's baseline.
+  history_->Record(
+      metrics_ != nullptr ? metrics_->Snapshot() : RegistrySnapshot(),
+      UnixNowMs());
   if (options_.interval_ms > 0) {
     thread_ = std::thread([this] { Loop(); });
   }
@@ -361,7 +384,7 @@ void TelemetrySampler::Stop() {
   TickNow();
   // And a final history flush, so short-lived runs persist their ring even
   // if they never reached the periodic persist threshold.
-  if (options_.history != nullptr) options_.history->WriteFile();
+  history_->WriteFile();
 }
 
 WatchdogPolicy TelemetrySampler::EffectiveWatchdog() const {
@@ -430,98 +453,69 @@ void TelemetrySampler::Tick() {
     }
   }
 
-  uint64_t now_steady = SteadyNowNs();
   RegistrySnapshot m = metrics_ != nullptr ? metrics_->Snapshot()
                                            : RegistrySnapshot();
   InflightSnapshot inf =
       inflight_ != nullptr ? inflight_->Snapshot() : InflightSnapshot();
   uint64_t now_unix_ms = inf.unix_ms != 0 ? inf.unix_ms : UnixNowMs();
 
-  // History + alerts ride the same tick: the ring records the registry
-  // delta, then the rules are evaluated against the updated ring, and any
-  // watchdog escalations from firing rules take effect at the next sweep.
-  if (options_.history != nullptr) {
-    options_.history->Record(m, now_unix_ms);
-    if (options_.alerts != nullptr) {
-      options_.alerts->Evaluate(*options_.history, now_unix_ms);
-      std::vector<std::pair<std::string, uint64_t>> escalations =
-          options_.alerts->WatchdogEscalations();
-      std::lock_guard<std::mutex> lock(state_mu_);
-      escalations_.clear();
-      for (const auto& [fragment, wall_ms] : escalations) {
-        WatchdogLimits limits = options_.watchdog.For(fragment);
-        if (limits.max_wall_ms == 0 || wall_ms < limits.max_wall_ms) {
-          limits.max_wall_ms = wall_ms;
-        }
-        escalations_[fragment] = limits;
+  // The ring records this tick's delta, the alert rules are evaluated
+  // against the updated ring, and any watchdog escalations from firing
+  // rules take effect at the next sweep.
+  history_->Record(m, now_unix_ms);
+  if (alerts_ != nullptr) {
+    alerts_->Evaluate(*history_, now_unix_ms);
+    std::vector<std::pair<std::string, uint64_t>> escalations =
+        alerts_->WatchdogEscalations();
+    std::lock_guard<std::mutex> lock(state_mu_);
+    escalations_.clear();
+    for (const auto& [fragment, wall_ms] : escalations) {
+      WatchdogLimits limits = options_.watchdog.For(fragment);
+      if (limits.max_wall_ms == 0 || wall_ms < limits.max_wall_ms) {
+        limits.max_wall_ms = wall_ms;
       }
+      escalations_[fragment] = limits;
     }
   }
 
-  auto counter = [&m](const char* name) -> uint64_t {
-    auto it = m.counters.find(name);
-    return it != m.counters.end() ? it->second : 0;
-  };
-  uint64_t queries = counter("engine.queries");
-  uint64_t rejections = counter("engine.queries_rejected") +
-                        counter("engine.queries_deadline_exceeded") +
-                        counter("engine.queries_cancelled");
-  uint64_t watchdog = inf.watchdog_cancelled_total;
-  uint64_t eval_count = 0;
-  std::map<uint64_t, uint64_t> eval_buckets;
-  if (auto it = m.histograms.find("engine.eval_ns");
-      it != m.histograms.end()) {
-    eval_count = it->second.count;
-    for (const auto& [bound, n] : it->second.buckets) eval_buckets[bound] = n;
+  TelemetrySnapshot snap;
+  snap.unix_ms = now_unix_ms;
+  snap.interval_ms = options_.interval_ms;
+  snap.queries_total = CounterIn(m.counters, "engine.queries");
+  snap.rejected_total = Rejections(m.counters);
+  snap.watchdog_cancelled_total = inf.watchdog_cancelled_total;
+  snap.queries_active = static_cast<int64_t>(inf.queries.size());
+  snap.inflight = std::move(inf);
+  if (Profiler* prof = Profiler::Active()) {
+    for (ProfileTagTotal& t : prof->TopTags(8)) {
+      snap.hot_tags.emplace_back(std::move(t.tag), t.self);
+    }
   }
-
-  TelemetrySnapshot published;
+  if (alerts_ != nullptr) {
+    snap.has_alerts = true;
+    snap.alerts = alerts_->Snapshot();
+  }
+  BuildInfo build = CurrentBuildInfo();
+  snap.build_sha = build.sha;
+  snap.build_type = build.build;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    TelemetryWindow w;
-    w.end_unix_ms = now_unix_ms;
-    w.seconds =
-        static_cast<double>(SaturatingSub(now_steady, prev_steady_ns_)) / 1e9;
-    w.queries = SaturatingSub(queries, prev_queries_);
-    w.rejections = SaturatingSub(rejections, prev_rejections_);
-    w.watchdog_cancels = SaturatingSub(watchdog, prev_watchdog_);
-    w.eval_count = SaturatingSub(eval_count, prev_eval_count_);
-    for (const auto& [bound, n] : eval_buckets) {
-      auto it = prev_eval_buckets_.find(bound);
-      uint64_t delta = SaturatingSub(n, it != prev_eval_buckets_.end()
-                                            ? it->second
-                                            : 0);
-      if (delta > 0) w.eval_buckets.emplace_back(bound, delta);
-    }
-    prev_steady_ns_ = now_steady;
-    prev_queries_ = queries;
-    prev_rejections_ = rejections;
-    prev_watchdog_ = watchdog;
-    prev_eval_count_ = eval_count;
-    prev_eval_buckets_ = std::move(eval_buckets);
-    have_prev_ = true;
-
-    windows_.push_back(std::move(w));
-    while (windows_.size() > options_.window_count) windows_.pop_front();
-
-    // Aggregate the retained windows into the published rates.
-    TelemetrySnapshot snap;
-    snap.unix_ms = windows_.back().end_unix_ms;
-    snap.interval_ms = options_.interval_ms;
     snap.ticks = ++ticks_;
-    snap.queries_total = queries;
-    snap.rejected_total = rejections;
-    snap.watchdog_cancelled_total = watchdog;
-    snap.queries_active = static_cast<int64_t>(inf.queries.size());
+    // The windows are this run's newest ticks as the ring recorded them;
+    // the published rates aggregate them.
+    history_->VisitRecent(std::min<uint64_t>(ticks_, kTelemetryWindows),
+                          [&snap](const HistorySample& s) {
+                            snap.windows.push_back(WindowFromSample(s));
+                          });
     double seconds = 0;
     uint64_t window_queries = 0, window_rejections = 0, window_evals = 0;
     std::map<uint64_t, uint64_t> merged;
-    for (const TelemetryWindow& win : windows_) {
-      seconds += win.seconds;
-      window_queries += win.queries;
-      window_rejections += win.rejections;
-      window_evals += win.eval_count;
-      for (const auto& [bound, n] : win.eval_buckets) merged[bound] += n;
+    for (const TelemetryWindow& w : snap.windows) {
+      seconds += w.seconds;
+      window_queries += w.queries;
+      window_rejections += w.rejections;
+      window_evals += w.eval_count;
+      for (const auto& [bound, n] : w.eval_buckets) merged[bound] += n;
     }
     if (seconds > 0) {
       snap.qps = static_cast<double>(window_queries) / seconds;
@@ -531,41 +525,12 @@ void TelemetrySampler::Tick() {
                                                           merged.end());
     snap.eval_p50_ns = HistogramPercentile(merged_vec, window_evals, 0.50);
     snap.eval_p99_ns = HistogramPercentile(merged_vec, window_evals, 0.99);
-    snap.windows.assign(windows_.begin(), windows_.end());
-    snap.inflight = std::move(inf);
-    if (Profiler* prof = Profiler::Active()) {
-      for (ProfileTagTotal& t : prof->TopTags(8)) {
-        snap.hot_tags.emplace_back(std::move(t.tag), t.self);
-      }
-    }
-    if (options_.alerts != nullptr) {
-      snap.has_alerts = true;
-      snap.alerts = options_.alerts->Snapshot();
-    }
-    BuildInfo build = CurrentBuildInfo();
-    snap.build_sha = build.sha;
-    snap.build_type = build.build;
     latest_ = snap;
-    published = std::move(snap);
-  }
-  WriteSnapshotFile(published);
-}
-
-void TelemetrySampler::WriteSnapshotFile(const TelemetrySnapshot& snap) {
-  if (options_.snapshot_path.empty()) return;
-  std::string tmp = options_.snapshot_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  std::string json = snap.ToJson();
-  json.push_back('\n');
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    std::remove(tmp.c_str());
-    return;
   }
   // Atomic hand-off: readers (rdfql_top) always see a complete snapshot.
-  std::rename(tmp.c_str(), options_.snapshot_path.c_str());
+  if (!options_.snapshot_path.empty()) {
+    WriteFileAtomic(options_.snapshot_path, snap.ToJson() + "\n");
+  }
 }
 
 }  // namespace rdfql

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -42,8 +41,8 @@ struct WatchdogPolicy {
   const WatchdogLimits& For(const std::string& fragment) const;
 };
 
-/// One sampling window: the delta of the engine's cumulative counters (and
-/// the eval-latency histogram) across one sampler tick.
+/// One sampling window: one tick's MetricsHistory sample, narrowed to the
+/// engine's query counters and eval-latency histogram.
 struct TelemetryWindow {
   uint64_t end_unix_ms = 0;
   double seconds = 0;
@@ -104,39 +103,46 @@ struct TelemetryOptions {
   /// Tick period. 0 disables the background thread: the owner drives the
   /// sampler with TickNow() (tests, single-shot tools).
   uint64_t interval_ms = 1000;
-  /// Sliding windows retained for the rate/percentile aggregates.
-  size_t window_count = 60;
   WatchdogPolicy watchdog;
   /// When non-empty, every tick atomically rewrites this file (temp +
   /// rename) with the current TelemetrySnapshot JSON — the hand-off point
   /// to rdfql_top.
   std::string snapshot_path;
-  /// When set, every tick records the registry snapshot into this history
-  /// ring (and Stop() persists it, if the ring has a jsonl_path). Must
-  /// outlive the sampler. Note the ring sees the raw registry — the series
-  /// Engine::MetricsSnapshot injects on top (pool.*, lock.*) are not in it.
-  MetricsHistory* history = nullptr;
-  /// When set (requires `history`), every tick evaluates the alert rules
-  /// against the ring, embeds the AlertSnapshot into the telemetry
-  /// snapshot, and folds watchdog escalations from firing rules into the
-  /// effective watchdog policy. Must outlive the sampler.
-  AlertEngine* alerts = nullptr;
 };
 
+/// The windows a snapshot carries: its rates and percentiles aggregate the
+/// newest kTelemetryWindows ticks.
+inline constexpr size_t kTelemetryWindows = 60;
+
+/// The ring a sampler records into when no alert rules bring one: samples
+/// at tick resolution for twice kTelemetryWindows ticks of `interval_ms`
+/// (of the default 1 s tick when 0), so a tick that runs late never costs
+/// a window, and no coarse tier.
+HistoryOptions TelemetryHistoryOptions(uint64_t interval_ms);
+
 /// The windowed telemetry sampler + slow-query watchdog. A background
-/// thread ticks every interval: it diffs the metrics registry's cumulative
-/// counters into a sliding-window view (QPS, rejections/s, windowed
-/// p50/p99 of engine.eval_ns), sweeps the in-flight registry against the
-/// watchdog policy — cancelling offenders through their own tokens — and
-/// publishes the combined snapshot in memory and optionally to a file.
+/// thread ticks every interval: it records the metrics registry into a
+/// history ring and reads the ring's newest samples back as a sliding-
+/// window view (QPS, rejections/s, windowed p50/p99 of engine.eval_ns),
+/// sweeps the in-flight registry against the watchdog policy — cancelling
+/// offenders through their own tokens — and publishes the combined
+/// snapshot in memory and optionally to a file.
 ///
 /// The sampler only reads the registries it is given; it never blocks a
 /// query (per-slot locks are held for field copies only).
 class TelemetrySampler {
  public:
-  /// `metrics` and `inflight` must outlive the sampler. Starts the
-  /// background thread unless options.interval_ms == 0.
+  /// `metrics`, `inflight` and `history` must outlive the sampler, and so
+  /// must `alerts` when set. Every tick records the registry into `history`
+  /// (Stop() persists it, if the ring has a jsonl_path); the ring sees the
+  /// raw registry, without the series Engine::MetricsSnapshot injects on
+  /// top (pool.*, lock.*). When `alerts` is set, every tick evaluates its
+  /// rules against the ring, embeds the AlertSnapshot into the telemetry
+  /// snapshot, and folds watchdog escalations from firing rules into the
+  /// effective watchdog policy. Starts the background thread unless
+  /// options.interval_ms == 0.
   TelemetrySampler(MetricsRegistry* metrics, InflightRegistry* inflight,
+                   MetricsHistory* history, AlertEngine* alerts,
                    TelemetryOptions options);
   ~TelemetrySampler();
   TelemetrySampler(const TelemetrySampler&) = delete;
@@ -161,24 +167,16 @@ class TelemetrySampler {
  private:
   void Loop();
   void Tick();
-  void WriteSnapshotFile(const TelemetrySnapshot& snap);
 
   MetricsRegistry* metrics_;
   InflightRegistry* inflight_;
+  MetricsHistory* history_;
+  AlertEngine* alerts_;
   TelemetryOptions options_;
 
   mutable std::mutex state_mu_;
-  // Previous tick's cumulative readings (all guarded by state_mu_).
-  bool have_prev_ = false;
-  uint64_t prev_steady_ns_ = 0;
-  uint64_t prev_queries_ = 0;
-  uint64_t prev_rejections_ = 0;
-  uint64_t prev_watchdog_ = 0;
-  uint64_t prev_eval_count_ = 0;
-  std::map<uint64_t, uint64_t> prev_eval_buckets_;
-  std::deque<TelemetryWindow> windows_;
-  TelemetrySnapshot latest_;
-  uint64_t ticks_ = 0;
+  TelemetrySnapshot latest_;  // guarded by state_mu_
+  uint64_t ticks_ = 0;        // guarded by state_mu_
   /// Watchdog overrides escalated from firing alert rules (guarded by
   /// state_mu_); recomputed after each alert evaluation, enforced by the
   /// next tick's sweep.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "transform/union_normal_form.h"
 #include "util/check.h"
@@ -102,19 +104,8 @@ PatternPtr Optimizer::Rewrite(const PatternPtr& p) const {
           Pattern::And(Rewrite(p->left()), Rewrite(p->right()));
       return options_.reorder_joins ? ReorderAnds(node) : node;
     }
-    case PatternKind::kUnion: {
-      PatternPtr l = Rewrite(p->left());
-      PatternPtr r = Rewrite(p->right());
-      if (options_.prune_unsatisfiable) {
-        // Dropping an empty branch of a UNION is always sound.
-        bool l_dead = IsUnsatisfiable(*l);
-        bool r_dead = IsUnsatisfiable(*r);
-        if (l_dead != r_dead) Count("union_branches_pruned");
-        if (l_dead && !r_dead) return r;
-        if (r_dead && !l_dead) return l;
-      }
-      return Pattern::Union(l, r);
-    }
+    case PatternKind::kUnion:
+      return RewriteUnionSpine(p);
     case PatternKind::kOpt:
       return Pattern::Opt(Rewrite(p->left()), Rewrite(p->right()));
     case PatternKind::kMinus:
@@ -143,6 +134,47 @@ PatternPtr Optimizer::Rewrite(const PatternPtr& p) const {
   }
   RDFQL_CHECK_MSG(false, "unreachable");
   return nullptr;
+}
+
+// UCQs and the UNION normal form build spines tens of thousands of nodes
+// deep, so a spine is rebuilt bottom-up on explicit stacks and only its
+// disjuncts recurse. Each rebuilt subtree carries whether it is
+// unsatisfiable (a UNION is when both sides are), so pruning never rescans
+// a subtree.
+PatternPtr Optimizer::RewriteUnionSpine(const PatternPtr& p) const {
+  struct Rewritten {
+    PatternPtr node;
+    bool dead;
+  };
+  // (node, whether its two sides are already on `done`)
+  std::vector<std::pair<const PatternPtr*, bool>> todo{{&p, false}};
+  std::vector<Rewritten> done;
+  while (!todo.empty()) {
+    auto [node, sides_done] = todo.back();
+    todo.pop_back();
+    if ((*node)->kind() != PatternKind::kUnion) {
+      PatternPtr r = Rewrite(*node);
+      bool dead = options_.prune_unsatisfiable && IsUnsatisfiable(*r);
+      done.push_back({std::move(r), dead});
+    } else if (!sides_done) {
+      todo.push_back({node, true});
+      todo.push_back({&(*node)->right(), false});
+      todo.push_back({&(*node)->left(), false});
+    } else {
+      Rewritten r = std::move(done.back());
+      done.pop_back();
+      Rewritten l = std::move(done.back());
+      done.pop_back();
+      if (l.dead != r.dead) {
+        // Dropping an empty branch of a UNION is always sound.
+        Count("union_branches_pruned");
+        done.push_back(l.dead ? std::move(r) : std::move(l));
+      } else {
+        done.push_back({Pattern::Union(l.node, r.node), l.dead});
+      }
+    }
+  }
+  return std::move(done.back().node);
 }
 
 // Pushes a single condition towards the leaves. Safety arguments:

@@ -41,6 +41,8 @@ class Optimizer {
 
  private:
   PatternPtr Rewrite(const PatternPtr& p) const;
+  /// Rewrite of a UNION, iterative over its spine.
+  PatternPtr RewriteUnionSpine(const PatternPtr& p) const;
   PatternPtr ReorderAnds(const PatternPtr& p) const;
   PatternPtr PushFilter(const PatternPtr& child, BuiltinPtr condition) const;
   /// Bumps `optimizer.<name>` when options_.metrics is set.

@@ -1,18 +1,8 @@
 #include "util/limits.h"
 
-#include <chrono>
+#include "util/clock.h"
 
 namespace rdfql {
-namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 Deadline Deadline::AfterMs(uint64_t ms) {
   Deadline d;

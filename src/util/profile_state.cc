@@ -1,7 +1,6 @@
 #include "util/profile_state.h"
 
 #include <bit>
-#include <chrono>
 #include <string>
 #include <unordered_set>
 
@@ -116,13 +115,6 @@ void WaitStats::AddTo(Totals* totals) const {
     totals->buckets[static_cast<size_t>(i)] +=
         buckets[static_cast<size_t>(i)].load(std::memory_order_relaxed);
   }
-}
-
-uint64_t ProfileClockNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace rdfql

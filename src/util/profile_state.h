@@ -89,8 +89,8 @@ class ProfileThreadSlot {
 /// Process-global registry of live thread slots. Threads register lazily
 /// on first profiling touch (CurrentProfileSlot) and unregister at thread
 /// exit; the sampler iterates under the registry mutex, so a slot can
-/// never be destroyed mid-sample. Leaky singleton — survives static
-/// destruction order, matching the MetricsRegistry::Global discipline.
+/// never be destroyed mid-sample. Leaky singleton, so it survives static
+/// destruction order.
 class ProfileThreadRegistry {
  public:
   static ProfileThreadRegistry& Instance();
@@ -187,9 +187,6 @@ struct WaitStats {
   };
   void AddTo(Totals* totals) const;
 };
-
-/// Monotonic nanoseconds — the single clock all profiling timestamps use.
-uint64_t ProfileClockNs();
 
 }  // namespace rdfql
 

@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <cstdio>
+
 namespace rdfql {
 
 std::vector<std::string> SplitNonEmpty(std::string_view text, char sep) {
@@ -43,6 +45,34 @@ std::string Join(const std::vector<std::string>& pieces,
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+std::string FormatNs(uint64_t ns) {
+  char buf[32];
+  if (ns < 10'000) {
+    std::snprintf(buf, sizeof(buf), "%lluns",
+                  static_cast<unsigned long long>(ns));
+  } else if (ns < 10'000'000) {
+    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
+  }
+  return buf;
+}
+
+std::string FormatBytes(uint64_t bytes) {
+  char buf[32];
+  if (bytes < 10'000) {
+    std::snprintf(buf, sizeof(buf), "%lluB",
+                  static_cast<unsigned long long>(bytes));
+  } else if (bytes < 10'000'000) {
+    std::snprintf(buf, sizeof(buf), "%.1fKB",
+                  static_cast<double>(bytes) / 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1fMB",
+                  static_cast<double>(bytes) / 1e6);
+  }
+  return buf;
 }
 
 }  // namespace rdfql

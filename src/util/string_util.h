@@ -1,6 +1,7 @@
 #ifndef RDFQL_UTIL_STRING_UTIL_H_
 #define RDFQL_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,13 @@ std::string Join(const std::vector<std::string>& pieces,
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// A duration for people: "950ns", "12.3us", "4.5ms" (milliseconds from
+/// 10 ms up, however long).
+std::string FormatNs(uint64_t ns);
+
+/// A byte count for people: "950B", "12.3KB", "4.5MB" (decimal units).
+std::string FormatBytes(uint64_t bytes);
 
 }  // namespace rdfql
 

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include "util/clock.h"
+
 namespace rdfql {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -33,13 +35,13 @@ void ThreadPool::DrainBatch(Batch* batch) {
     // recorded: tasks are whole subtree evaluations (one side of an
     // AND/OPT/MINUS, one UNION disjunct), so two clock reads per task are
     // noise next to the task itself.
-    uint64_t claim_ns = ProfileClockNs();
+    uint64_t claim_ns = SteadyNowNs();
     queue_delay_.RecordWait(claim_ns - batch->publish_ns);
     {
       ProfileFrame frame("pool_task");
       (*batch->task)(i);
     }
-    run_time_.RecordWait(ProfileClockNs() - claim_ns);
+    run_time_.RecordWait(SteadyNowNs() - claim_ns);
     if (batch->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         batch->num_tasks) {
       // Last task: wake the ParallelFor caller (and any idle worker).
@@ -99,7 +101,7 @@ void ThreadPool::ParallelFor(size_t num_tasks,
   batch->task = &task;
   batch->num_tasks = num_tasks;
   batch->context = CurrentExecContext();
-  batch->publish_ns = ProfileClockNs();
+  batch->publish_ns = SteadyNowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_.push_back(batch);

@@ -1,6 +1,7 @@
 #ifndef RDFQL_UTIL_TIMED_LOCK_H_
 #define RDFQL_UTIL_TIMED_LOCK_H_
 
+#include "util/clock.h"
 #include "util/profile_state.h"
 
 namespace rdfql {
@@ -24,13 +25,13 @@ class TimedExclusiveLock {
  public:
   TimedExclusiveLock(Mutex& mu, WaitStats* stats, const char* tag) : mu_(mu) {
     if (mu_.try_lock()) return;  // spurious failure just takes the slow path
-    uint64_t start = ProfileClockNs();
+    uint64_t start = SteadyNowNs();
     {
       ProfileFrame frame(tag);
       ProfileStateScope state(ProfileThreadState::kLockWait);
       mu_.lock();
     }
-    if (stats != nullptr) stats->RecordWait(ProfileClockNs() - start);
+    if (stats != nullptr) stats->RecordWait(SteadyNowNs() - start);
   }
   ~TimedExclusiveLock() { mu_.unlock(); }
   TimedExclusiveLock(const TimedExclusiveLock&) = delete;
@@ -45,13 +46,13 @@ class TimedSharedLock {
  public:
   TimedSharedLock(Mutex& mu, WaitStats* stats, const char* tag) : mu_(mu) {
     if (mu_.try_lock_shared()) return;
-    uint64_t start = ProfileClockNs();
+    uint64_t start = SteadyNowNs();
     {
       ProfileFrame frame(tag);
       ProfileStateScope state(ProfileThreadState::kLockWait);
       mu_.lock_shared();
     }
-    if (stats != nullptr) stats->RecordWait(ProfileClockNs() - start);
+    if (stats != nullptr) stats->RecordWait(SteadyNowNs() - start);
   }
   ~TimedSharedLock() { mu_.unlock_shared(); }
   TimedSharedLock(const TimedSharedLock&) = delete;

@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/pattern_printer.h"
 #include "core/query_cache.h"
+#include "optimize/optimizer.h"
 #include "workload/scenarios.h"
 
 namespace rdfql {
@@ -127,20 +129,61 @@ TEST(EngineTest, ConstructQueryEndToEnd) {
   EXPECT_EQ(q->Answer(**input).size(), 4u);
 }
 
+// (?x p o0) UNION ... UNION (?x p o{n-1}): the flat UNIONs the UNION normal
+// form (Prop D.1) and the UCQ translation (Thm C.8) build.
+std::string FlatUnion(int n) {
+  std::string query;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) query += " UNION ";
+    query += "(?x p o" + std::to_string(i) + ")";
+  }
+  return query;
+}
+
 // With metrics on, a flat UNION of 20,000 disjuncts evaluates on the
 // iterative spine instead of recursing once per UNION node.
 TEST(EngineTest, DeepUnionWithMetricsAnswers) {
   Engine engine;
   engine.EnableMetrics();
   ASSERT_TRUE(engine.LoadGraphText("g", "a p o19999 .").ok());
-  std::string query;
-  for (int i = 0; i < 20000; ++i) {
-    if (i > 0) query += " UNION ";
-    query += "(?x p o" + std::to_string(i) + ")";
-  }
-  Result<bool> r = engine.Ask("g", query);
+  Result<bool> r = engine.Ask("g", FlatUnion(20000));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(*r);
+}
+
+TEST(EngineTest, DeepUnionExplainsAsOneSpine) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", "a p o19999 .").ok());
+  Result<QueryExplanation> e = engine.QueryExplained("g", FlatUnion(20000));
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(e->result().size(), 1u);
+  // One UNION node for the whole spine, its disjuncts as the children.
+  const PlanNode& root = *e->explanation.plan;
+  EXPECT_EQ(root.label, "UNION");
+  EXPECT_EQ(root.cardinality, 1u);
+  ASSERT_EQ(root.children.size(), 20000u);
+  EXPECT_EQ(root.children.back()->label, "TRIPLE (?x p o19999)");
+  EXPECT_EQ(root.children.back()->cardinality, 1u);
+}
+
+TEST(EngineTest, DeepUnionPrintsAndOptimizes) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", "a p o19999 .").ok());
+  Result<PatternPtr> p = engine.Parse(FlatUnion(20000));
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  // The parser associates left, and every binary UNION prints in parens.
+  std::string expected(19999, '(');
+  expected += "(?x p o0)";
+  for (int i = 1; i < 20000; ++i) {
+    expected += " UNION (?x p o" + std::to_string(i) + "))";
+  }
+  EXPECT_EQ(PatternToString(*p, *engine.dict()), expected);
+
+  Result<const Graph*> g = engine.GetGraph("g");
+  ASSERT_TRUE(g.ok());
+  GraphStats stats = GraphStats::Collect(**g);
+  PatternPtr optimized = Optimizer(&stats).Optimize(*p);
+  EXPECT_EQ(PatternToString(optimized, *engine.dict()), expected);
 }
 
 uint64_t CounterOf(Engine* engine, const std::string& name) {

@@ -207,18 +207,6 @@ TEST_F(EvaluatorTest, OptAgreesAcrossJoinStrategies) {
   }
 }
 
-TEST_F(EvaluatorTest, EvalMaxEqualsNsWrap) {
-  Rng rng(23);
-  PatternGenSpec spec;
-  spec.allow_opt = true;
-  spec.max_depth = 3;
-  for (int i = 0; i < 30; ++i) {
-    PatternPtr p = GenerateRandomPattern(spec, &dict_, &rng);
-    Graph g = GenerateRandomGraph(12, 4, &dict_, &rng, "i");
-    Evaluator ev(&g);
-    EXPECT_EQ(ev.EvalMax(p), ev.Eval(Pattern::Ns(p)));
-  }
-}
 
 TEST_F(EvaluatorTest, EmptyGraphYieldsNoAnswers) {
   Graph g;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/pattern_printer.h"
 #include "eval/evaluator.h"
 #include "parser/parser.h"
 #include "rdf/ntriples.h"
@@ -87,6 +88,23 @@ TEST_F(OptimizerTest, PrunesUnsatisfiableUnionBranches) {
   PatternPtr p = Parse("((?x a ?y) FILTER false) UNION (?x b ?y)");
   PatternPtr q = opt.Optimize(p);
   EXPECT_EQ(q->kind(), PatternKind::kTriple);
+
+  // Along a spine: each dead disjunct goes, and a UNION of two dead sides
+  // is itself dead.
+  MetricsRegistry metrics;
+  OptimizerOptions counted;
+  counted.metrics = &metrics;
+  Optimizer counting(&stats, counted);
+  q = counting.Optimize(Parse(
+      "((?x a ?y) FILTER false) UNION (?x b ?y) UNION "
+      "((?x c ?y) FILTER false) UNION (?x d ?y)"));
+  EXPECT_EQ(PatternToString(q, dict_), "((?x b ?y) UNION (?x d ?y))");
+  q = counting.Optimize(Parse(
+      "(((?x a ?y) FILTER false) UNION ((?x c ?y) FILTER false)) UNION "
+      "(?x b ?y)"));
+  EXPECT_EQ(PatternToString(q, dict_), "(?x b ?y)");
+  EXPECT_EQ(metrics.Snapshot().counters.at("optimizer.union_branches_pruned"),
+            3u);
 }
 
 TEST_F(OptimizerTest, ReordersJoinsBySelectivity) {

@@ -57,7 +57,6 @@ class TelemetryEngineTest : public ::testing::Test {
 TEST_F(TelemetryEngineTest, ManualTicksDiffCountersIntoWindows) {
   TelemetryOptions options;
   options.interval_ms = 0;  // no thread: the test drives every tick
-  options.window_count = 4;
   ASSERT_TRUE(engine_.StartTelemetry(options).ok());
   EXPECT_TRUE(engine_.live_monitoring_enabled());
   ASSERT_NE(engine_.telemetry(), nullptr);
@@ -84,10 +83,12 @@ TEST_F(TelemetryEngineTest, ManualTicksDiffCountersIntoWindows) {
   EXPECT_GT(snap.eval_p50_ns, 0.0);
   EXPECT_GE(snap.eval_p99_ns, snap.eval_p50_ns);
 
-  // Windows slide: only the newest `window_count` survive.
-  for (int i = 0; i < 6; ++i) engine_.telemetry()->TickNow();
+  // Windows slide: only the newest kTelemetryWindows survive.
+  for (size_t i = 0; i < kTelemetryWindows; ++i) {
+    engine_.telemetry()->TickNow();
+  }
   snap = engine_.telemetry()->Snapshot();
-  EXPECT_EQ(snap.windows.size(), options.window_count);
+  EXPECT_EQ(snap.windows.size(), kTelemetryWindows);
   // The later (idle) windows saw no queries; the cumulative total stands.
   EXPECT_EQ(snap.windows.back().queries, 0u);
   EXPECT_EQ(snap.queries_total, 3u);
@@ -96,6 +97,101 @@ TEST_F(TelemetryEngineTest, ManualTicksDiffCountersIntoWindows) {
   EXPECT_EQ(engine_.telemetry(), nullptr);
   // Restarting after a stop is allowed.
   ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  engine_.StopTelemetry();
+}
+
+// Without alert rules the engine still hands the sampler a ring, sized
+// from the tick alone, and drops it with the sampler.
+TEST_F(TelemetryEngineTest, TelemetryOnlyEngineGetsARing) {
+  EXPECT_EQ(engine_.history(), nullptr);
+  TelemetryOptions options;
+  options.interval_ms = 0;
+  ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  ASSERT_NE(engine_.history(), nullptr);
+  const HistoryOptions& ring = engine_.history()->options();
+  EXPECT_EQ(ring.fine_retention_ms, 2 * kTelemetryWindows * 1000);
+  EXPECT_EQ(ring.coarse_retention_ms, 0u);
+  EXPECT_TRUE(ring.jsonl_path.empty());
+  engine_.telemetry()->TickNow();
+  // The start baseline plus one sample per tick.
+  EXPECT_EQ(engine_.history()->records(), 2u);
+  engine_.StopTelemetry();
+  EXPECT_EQ(engine_.history(), nullptr);
+
+  options.interval_ms = 100;
+  ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  ASSERT_NE(engine_.history(), nullptr);
+  EXPECT_EQ(engine_.history()->options().fine_retention_ms,
+            2 * kTelemetryWindows * 100);
+  engine_.StopTelemetry();
+
+  // With rules installed, the sampler records into the rules' ring, which
+  // outlives it.
+  ASSERT_TRUE(engine_
+                  .SetAlertRules(
+                      R"({"version":1,"rules":[{"name":"q","agg":"delta",
+                          "metric":"engine.queries","op":">","threshold":0,
+                          "windows":["10s"]}]})")
+                  .ok());
+  MetricsHistory* rules_ring = engine_.history();
+  ASSERT_NE(rules_ring, nullptr);
+  options.interval_ms = 0;
+  ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  EXPECT_EQ(engine_.history(), rules_ring);
+  engine_.StopTelemetry();
+  EXPECT_EQ(engine_.history(), rules_ring);
+}
+
+// A snapshot's windows are the ring's newest samples, field for field.
+TEST_F(TelemetryEngineTest, WindowsAreTheRingsNewestSamples) {
+  TelemetryOptions options;
+  options.interval_ms = 0;
+  ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  EvalOptions capped;
+  capped.limits.max_live_mappings = 1;
+  const size_t kTicks = 5;
+  for (size_t i = 0; i < kTicks; ++i) {
+    for (size_t q = 0; q < i; ++q) {
+      ASSERT_TRUE(engine_.Query("g", "(?x p ?y)").ok());
+    }
+    EXPECT_EQ(engine_.Query("g", "(?x p ?y)", capped).status().code(),
+              StatusCode::kResourceExhausted);
+    engine_.telemetry()->TickNow();
+  }
+  TelemetrySnapshot snap = engine_.telemetry()->Snapshot();
+  std::vector<HistorySample> samples = engine_.history()->Samples();
+  ASSERT_EQ(snap.windows.size(), kTicks);
+  ASSERT_GE(samples.size(), kTicks);
+  samples.erase(samples.begin(), samples.end() - kTicks);
+  auto counter = [](const HistorySample& s, const char* name) -> uint64_t {
+    auto it = s.counters.find(name);
+    return it != s.counters.end() ? it->second : 0;
+  };
+  for (size_t i = 0; i < kTicks; ++i) {
+    const TelemetryWindow& w = snap.windows[i];
+    const HistorySample& s = samples[i];
+    EXPECT_EQ(w.end_unix_ms, s.unix_ms) << i;
+    EXPECT_EQ(w.seconds, s.seconds) << i;
+    EXPECT_EQ(w.queries, counter(s, "engine.queries")) << i;
+    EXPECT_EQ(w.queries, i + 1) << i;
+    EXPECT_EQ(w.rejections, counter(s, "engine.queries_rejected") +
+                                counter(s, "engine.queries_deadline_exceeded") +
+                                counter(s, "engine.queries_cancelled"))
+        << i;
+    EXPECT_EQ(w.rejections, 1u) << i;
+    EXPECT_EQ(w.watchdog_cancels,
+              counter(s, "engine.queries_watchdog_cancelled"))
+        << i;
+    auto hist = s.histograms.find("engine.eval_ns");
+    std::vector<std::pair<uint64_t, uint64_t>> buckets;
+    if (hist != s.histograms.end()) buckets = hist->second;
+    EXPECT_EQ(w.eval_buckets, buckets) << i;
+    uint64_t evals = 0;
+    for (const auto& [bound, n] : buckets) evals += n;
+    EXPECT_EQ(w.eval_count, evals) << i;
+    EXPECT_EQ(w.eval_count, i + 1) << i;
+  }
+  EXPECT_EQ(snap.unix_ms, samples.back().unix_ms);
   engine_.StopTelemetry();
 }
 
