@@ -1,10 +1,10 @@
 // Standalone validator for the BENCH_<name>.json files the bench binaries
 // emit under --json. Exits 0 iff every given file matches the
-// rdfql-bench-v2 schema; with --expect-growth it additionally checks that
-// wall time grows with the single numeric size argument within each
-// benchmark family (the empirical shadow of the Thm 7.1-7.4 scaling
-// claims). Used by the `bench_json_smoke` ctest entry and by
-// scripts/bench_json.sh.
+// rdfql-bench-v3 (or v2) schema, 1 otherwise; with --expect-growth it
+// additionally checks that the total_mappings work count grows with the
+// single numeric size argument within each benchmark family (the
+// empirical shadow of the Thm 7.1-7.4 scaling claims). Used by the
+// `bench_json_smoke` ctest entry and by scripts/bench_json.sh.
 //
 // Usage: bench_json_check [--expect-growth] file.json [file2.json ...]
 

@@ -24,6 +24,20 @@ struct BenchCase {
   /// counters and gauges by name, histograms as <name>.count/<name>.sum/
   /// <name>.p50/<name>.p90/<name>.p99 (interpolated percentiles).
   std::vector<std::pair<std::string, double>> metrics;
+
+  /// Its JSON object (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& c, V& v) {
+    v("name", c.name);
+    v("family", c.family);
+    v("args", c.args);
+    v("iterations", c.iterations);
+    v("real_ns", c.real_ns);
+    v("cpu_ns", c.cpu_ns);
+    v("threads", c.threads);
+    v("counters", c.counters);
+    v("metrics", c.metrics);
+  }
 };
 
 /// The schema tag every emitted file carries; bump on breaking change.
@@ -54,10 +68,23 @@ struct ParsedBenchDoc {
   std::string build_type;
   std::string timestamp;
   std::vector<BenchCase> cases;
+
+  /// The document RenderBenchJson writes, one case per line
+  /// (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& d, V& v) {
+    v("schema", d.schema);
+    v("bench", d.bench);
+    v("git_sha", d.git_sha, !d.git_sha.empty());
+    v("build_type", d.build_type, !d.build_type.empty());
+    v("timestamp", d.timestamp, !d.timestamp.empty());
+    v.Lines("cases", d.cases);
+  }
 };
 
-/// Parses and field-checks a BENCH_*.json document. Returns true on
-/// success; otherwise fills *error with the first violation.
+/// Parses and field-checks a BENCH_*.json document, keys in any order.
+/// Returns true on success; otherwise fills *error with the first
+/// violation.
 bool ParseBenchJson(const std::string& json, ParsedBenchDoc* out,
                     std::string* error);
 

@@ -18,13 +18,11 @@ namespace rdfql {
 
 class QueryLog;
 
-/// Per-query override for the engine's query cache (plan or result side),
-/// mirroring the limits/query-log pattern: an explicit value wins
-/// wholesale. kDefault follows the attached cache's configuration; kOff
-/// bypasses the cache for this query (counted as a bypass); kOn requests
-/// caching where the attached cache supports it — with no cache attached
-/// (or that side disabled by its sizing), it cannot conjure one.
-enum class CacheMode { kDefault, kOn, kOff };
+/// Per-query use of the engine's query cache (plan or result side).
+/// kDefault follows the attached cache's configuration (no cache attached,
+/// or that side disabled by its sizing, means no caching); kOff bypasses
+/// the cache for this query (counted as a bypass).
+enum class CacheMode { kDefault, kOff };
 
 /// Tunables for the evaluator — the pairs of algorithms back the ablation
 /// benchmarks (E15/E16 in DESIGN.md) — plus the observability opt-ins.

@@ -10,9 +10,6 @@ namespace rdfql {
 
 namespace {
 
-using jsonutil::AppendDouble;
-using jsonutil::AppendString;
-using jsonutil::AppendUint;
 using jsonutil::JsonParser;
 
 bool AggFromName(std::string_view name, AlertCondition::Agg* out) {
@@ -271,64 +268,16 @@ bool ParseAlertRules(std::string_view json, std::vector<AlertRule>* out,
 }
 
 std::string AlertTransition::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  AppendUint("v", 1, &first, &out);
-  AppendUint("unix_ms", unix_ms, &first, &out);
-  AppendString("rule", rule, &first, &out);
-  AppendString("state", state, &first, &out);
-  AppendString("severity", severity, &first, &out);
-  AppendString("fragment", fragment, &first, &out);
-  AppendDouble("value", value, &first, &out);
-  AppendDouble("threshold", threshold, &first, &out);
-  out += ",\"windows_ms\":[";
-  bool inner = true;
-  char buf[32];
-  for (uint64_t w : windows_ms) {
-    if (!inner) out.push_back(',');
-    inner = false;
-    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(w));
-    out += buf;
-  }
-  out += "]}";
-  return out;
+  return jsonutil::ToJson(*this);
 }
 
 bool ParseAlertLogLine(std::string_view line, AlertTransition* out,
                        std::string* error) {
-  *out = AlertTransition();
-  JsonParser p(line);
-  uint64_t version = 0;
-  if (!p.Eat('{') || !p.Key("v") || !p.ParseUint(&version)) {
-    return p.Fail(error, "expected {\"v\":..");
-  }
-  if (version != 1) return p.Fail(error, "unsupported alert-log version");
-  if (!p.Eat(',') || !p.Key("unix_ms") || !p.ParseUint(&out->unix_ms) ||
-      !p.Eat(',') || !p.Key("rule") || !p.ParseString(&out->rule) ||
-      !p.Eat(',') || !p.Key("state") || !p.ParseString(&out->state) ||
-      !p.Eat(',') || !p.Key("severity") || !p.ParseString(&out->severity) ||
-      !p.Eat(',') || !p.Key("fragment") || !p.ParseString(&out->fragment) ||
-      !p.Eat(',') || !p.Key("value") || !p.ParseDouble(&out->value) ||
-      !p.Eat(',') || !p.Key("threshold") ||
-      !p.ParseDouble(&out->threshold)) {
-    return p.Fail(error, "bad alert record");
-  }
-  if (!p.Eat(',') || !p.Key("windows_ms") || !p.Eat('[')) {
-    return p.Fail(error, "expected windows_ms");
-  }
-  if (!p.Eat(']')) {
-    do {
-      uint64_t w = 0;
-      if (!p.ParseUint(&w)) return p.Fail(error, "bad window");
-      out->windows_ms.push_back(w);
-    } while (p.Eat(','));
-    if (!p.Eat(']')) return p.Fail(error, "unterminated windows_ms");
-  }
+  if (!jsonutil::FromJson(line, out, error)) return false;
   if (out->state != "pending" && out->state != "firing" &&
       out->state != "resolved") {
-    return p.Fail(error, "unknown state '" + out->state + "'");
+    return jsonutil::Fail(error, "unknown state '" + out->state + "'");
   }
-  if (!p.Eat('}') || !p.AtEnd()) return p.Fail(error, "trailing content");
   return true;
 }
 
@@ -399,33 +348,7 @@ std::string AlertSnapshot::ToText() const {
   return out;
 }
 
-std::string AlertSnapshot::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  AppendUint("unix_ms", unix_ms, &first, &out);
-  AppendUint("pending_total", pending_total, &first, &out);
-  AppendUint("firing_total", firing_total, &first, &out);
-  AppendUint("resolved_total", resolved_total, &first, &out);
-  out += ",\"rules\":[";
-  bool inner = true;
-  for (const AlertRuleStatus& r : rules) {
-    if (!inner) out.push_back(',');
-    inner = false;
-    out.push_back('{');
-    bool f = true;
-    AppendString("name", r.name, &f, &out);
-    AppendString("severity", r.severity, &f, &out);
-    AppendString("state", r.state, &f, &out);
-    AppendString("fragment", r.fragment, &f, &out);
-    AppendDouble("value", r.value, &f, &out);
-    AppendDouble("threshold", r.threshold, &f, &out);
-    AppendUint("since_unix_ms", r.since_unix_ms, &f, &out);
-    AppendUint("fires", r.fires, &f, &out);
-    out.push_back('}');
-  }
-  out += "]}";
-  return out;
-}
+std::string AlertSnapshot::ToJson() const { return jsonutil::ToJson(*this); }
 
 AlertEngine::AlertEngine(std::vector<AlertRule> rules,
                          AlertLogOptions log_options)

@@ -122,6 +122,20 @@ struct AlertTransition {
   std::vector<uint64_t> windows_ms;
 
   std::string ToJson() const;
+
+  /// The JSONL format above (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& t, V& v) {
+    v.Version(1);
+    v("unix_ms", t.unix_ms);
+    v("rule", t.rule);
+    v("state", t.state);
+    v("severity", t.severity);
+    v("fragment", t.fragment);
+    v("value", t.value);
+    v("threshold", t.threshold);
+    v("windows_ms", t.windows_ms);
+  }
 };
 
 /// Parses one line of an alert log (inverse of AlertTransition::ToJson).
@@ -170,6 +184,18 @@ struct AlertRuleStatus {
   double threshold = 0;
   uint64_t since_unix_ms = 0;  // when the current state was entered
   uint64_t fires = 0;          // times this rule has fired
+
+  template <class Self, class V>
+  static void Fields(Self& r, V& v) {
+    v("name", r.name);
+    v("severity", r.severity);
+    v("state", r.state);
+    v("fragment", r.fragment);
+    v("value", r.value);
+    v("threshold", r.threshold);
+    v("since_unix_ms", r.since_unix_ms);
+    v("fires", r.fires);
+  }
 };
 
 struct AlertSnapshot {
@@ -182,6 +208,17 @@ struct AlertSnapshot {
   size_t FiringNow() const;
   std::string ToText() const;
   std::string ToJson() const;
+
+  /// The JSON object ToJson writes, also embedded in the telemetry
+  /// snapshot (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& s, V& v) {
+    v("unix_ms", s.unix_ms);
+    v("pending_total", s.pending_total);
+    v("firing_total", s.firing_total);
+    v("resolved_total", s.resolved_total);
+    v("rules", s.rules);
+  }
 };
 
 /// Evaluates a fixed rule set against a MetricsHistory once per telemetry

@@ -9,11 +9,6 @@ namespace rdfql {
 
 namespace {
 
-using jsonutil::AppendBool;
-using jsonutil::AppendDouble;
-using jsonutil::AppendUint;
-using jsonutil::JsonParser;
-
 uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
 /// Diffs two (bound, count) bucket lists into the per-interval growth.
@@ -71,90 +66,11 @@ bool WriteFileAtomic(const std::string& path, const std::string& text) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-std::string HistorySample::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  AppendUint("v", 1, &first, &out);
-  AppendUint("unix_ms", unix_ms, &first, &out);
-  AppendDouble("seconds", seconds, &first, &out);
-  AppendBool("coarse", coarse, &first, &out);
-  out += ",\"counters\":{";
-  bool inner = true;
-  for (const auto& [name, delta] : counters) {
-    AppendUint(name.c_str(), delta, &inner, &out);
-  }
-  out += "},\"gauges\":{";
-  inner = true;
-  for (const auto& [name, value] : gauges) {
-    jsonutil::AppendInt(name.c_str(), value, &inner, &out);
-  }
-  out += "},\"histograms\":{";
-  inner = true;
-  for (const auto& [name, buckets] : histograms) {
-    jsonutil::AppendBuckets(name.c_str(), buckets, &inner, &out);
-  }
-  out += "}}";
-  return out;
-}
+std::string HistorySample::ToJson() const { return jsonutil::ToJson(*this); }
 
 bool ParseHistorySample(std::string_view line, HistorySample* out,
                         std::string* error) {
-  *out = HistorySample();
-  JsonParser p(line);
-  uint64_t version = 0;
-  if (!p.Eat('{') || !p.Key("v") || !p.ParseUint(&version)) {
-    return p.Fail(error, "expected {\"v\":..");
-  }
-  if (version != 1) return p.Fail(error, "unsupported history version");
-  if (!p.Eat(',') || !p.Key("unix_ms") || !p.ParseUint(&out->unix_ms) ||
-      !p.Eat(',') || !p.Key("seconds") || !p.ParseDouble(&out->seconds) ||
-      !p.Eat(',') || !p.Key("coarse") || !p.ParseBool(&out->coarse)) {
-    return p.Fail(error, "bad sample header");
-  }
-  if (!p.Eat(',') || !p.Key("counters") || !p.Eat('{')) {
-    return p.Fail(error, "expected counters object");
-  }
-  if (!p.Eat('}')) {
-    do {
-      std::string name;
-      uint64_t delta = 0;
-      if (!p.NextKey(&name) || !p.ParseUint(&delta)) {
-        return p.Fail(error, "bad counter entry");
-      }
-      out->counters[name] = delta;
-    } while (p.Eat(','));
-    if (!p.Eat('}')) return p.Fail(error, "unterminated counters");
-  }
-  if (!p.Eat(',') || !p.Key("gauges") || !p.Eat('{')) {
-    return p.Fail(error, "expected gauges object");
-  }
-  if (!p.Eat('}')) {
-    do {
-      std::string name;
-      int64_t value = 0;
-      if (!p.NextKey(&name) || !p.ParseInt(&value)) {
-        return p.Fail(error, "bad gauge entry");
-      }
-      out->gauges[name] = value;
-    } while (p.Eat(','));
-    if (!p.Eat('}')) return p.Fail(error, "unterminated gauges");
-  }
-  if (!p.Eat(',') || !p.Key("histograms") || !p.Eat('{')) {
-    return p.Fail(error, "expected histograms object");
-  }
-  if (!p.Eat('}')) {
-    do {
-      std::string name;
-      std::vector<std::pair<uint64_t, uint64_t>> buckets;
-      if (!p.NextKey(&name) || !p.ParseBuckets(&buckets)) {
-        return p.Fail(error, "bad histogram entry");
-      }
-      out->histograms[name] = std::move(buckets);
-    } while (p.Eat(','));
-    if (!p.Eat('}')) return p.Fail(error, "unterminated histograms");
-  }
-  if (!p.Eat('}') || !p.AtEnd()) return p.Fail(error, "trailing content");
-  return true;
+  return jsonutil::FromJson(line, out, error);
 }
 
 MetricsHistory::MetricsHistory(HistoryOptions options)

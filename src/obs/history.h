@@ -60,6 +60,18 @@ struct HistorySample {
   ///   {"v":1,"unix_ms":..,"seconds":..,"coarse":..,"counters":{..},
   ///    "gauges":{..},"histograms":{"name":[[le,n],..],..}}
   std::string ToJson() const;
+
+  /// The JSONL format above (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& s, V& v) {
+    v.Version(1);
+    v("unix_ms", s.unix_ms);
+    v("seconds", s.seconds);
+    v("coarse", s.coarse);
+    v("counters", s.counters);
+    v("gauges", s.gauges);
+    v("histograms", s.histograms);
+  }
 };
 
 /// Parses one line of a history JSONL file (the inverse of

@@ -42,17 +42,7 @@ std::string Flatten(std::string_view text, size_t max_bytes) {
 }  // namespace
 
 const char* QueryPhaseName(QueryPhase phase) {
-  switch (phase) {
-    case QueryPhase::kStarting:
-      return "start";
-    case QueryPhase::kParsing:
-      return "parse";
-    case QueryPhase::kEvaluating:
-      return "eval";
-    case QueryPhase::kFinishing:
-      return "finish";
-  }
-  return "?";
+  return kQueryPhaseNames[static_cast<size_t>(phase)];
 }
 
 void InflightSlot::SetFragment(std::string_view fragment) {

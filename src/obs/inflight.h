@@ -27,7 +27,11 @@ enum class QueryPhase {
   kFinishing,
 };
 
-/// Short lowercase name for display ("parse", "eval", ...).
+/// Short lowercase names for display, indexed by QueryPhase.
+inline constexpr const char* kQueryPhaseNames[] = {"start", "parse", "eval",
+                                                   "finish"};
+
+/// kQueryPhaseNames[phase] ("parse", "eval", ...).
 const char* QueryPhaseName(QueryPhase phase);
 
 /// One row of an InflightSnapshot: the registry slot's identity plus live
@@ -49,6 +53,26 @@ struct InflightQueryInfo {
   uint64_t peak_bytes = 0;
   int threads = 1;
   bool watchdog_cancelled = false;
+
+  /// Its JSON object in a telemetry snapshot (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& q, V& v) {
+    v("slot", q.slot);
+    v("generation", q.generation);
+    v("id", q.correlation_id);
+    v("hash", q.query_hash);
+    v("graph", q.graph);
+    v("query", q.query);
+    v("fragment", q.fragment);
+    v.Enum("phase", q.phase, kQueryPhaseNames);
+    v("start_unix_ms", q.start_unix_ms);
+    v("wall_ns", q.wall_ns);
+    v("live_mappings", q.live_mappings);
+    v("live_bytes", q.live_bytes);
+    v("peak_bytes", q.peak_bytes);
+    v("threads", q.threads);
+    v("watchdog_cancelled", q.watchdog_cancelled);
+  }
 };
 
 /// A point-in-time view of the registry. Each row is internally consistent
@@ -62,6 +86,14 @@ struct InflightSnapshot {
 
   /// Aligned `ps`-style table for the shell's `.ps` command and rdfql_top.
   std::string ToText() const;
+
+  template <class Self, class V>
+  static void Fields(Self& s, V& v) {
+    v("unix_ms", s.unix_ms);
+    v("registered_total", s.registered_total);
+    v("watchdog_cancelled_total", s.watchdog_cancelled_total);
+    v("queries", s.queries);
+  }
 };
 
 class InflightRegistry;

@@ -9,19 +9,8 @@
 namespace rdfql {
 namespace {
 
-/// Pretty duration for the text report (mirrors the EXPLAIN phase style).
-std::string NsString(double ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else if (ns < 10'000'000'000.0) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
-  }
-  return buf;
+std::string PercentileNs(const Histogram& h, double q) {
+  return FormatNs(static_cast<uint64_t>(h.Percentile(q)));
 }
 
 std::string Truncated(const std::string& s, size_t max) {
@@ -90,113 +79,13 @@ uint64_t StableQueryHash(std::string_view query) {
 }
 
 std::string QueryLogRecordToJson(const QueryLogRecord& r) {
-  using jsonutil::AppendString;
-  using jsonutil::AppendUint;
-  std::string out = "{";
-  bool first = true;
-  AppendUint("v", 1, &first, &out);
-  AppendUint("id", r.correlation_id, &first, &out);
-  AppendUint("hash", r.query_hash, &first, &out);
-  AppendUint("unix_ms", r.unix_ms, &first, &out);
-  AppendString("graph", r.graph, &first, &out);
-  AppendString("query", r.query, &first, &out);
-  AppendString("fragment", r.fragment, &first, &out);
-  AppendString("outcome", r.outcome, &first, &out);
-  if (!r.error.empty()) AppendString("error", r.error, &first, &out);
-  AppendUint("parse_ns", r.parse_ns, &first, &out);
-  if (r.optimize_ns != 0) {
-    AppendUint("optimize_ns", r.optimize_ns, &first, &out);
-  }
-  AppendUint("eval_ns", r.eval_ns, &first, &out);
-  AppendUint("rows_out", r.rows_out, &first, &out);
-  AppendUint("total_mappings", r.total_mappings, &first, &out);
-  AppendUint("peak_mappings", r.peak_mappings, &first, &out);
-  AppendUint("peak_bytes", r.peak_bytes, &first, &out);
-  AppendUint("threads", static_cast<uint64_t>(r.threads), &first, &out);
-  if (!r.cache.empty()) AppendString("cache", r.cache, &first, &out);
-  if (r.slow) {
-    jsonutil::AppendBool("slow", true, &first, &out);
-    if (!r.explain.empty()) AppendString("explain", r.explain, &first, &out);
-  }
-  out.push_back('}');
-  return out;
+  return jsonutil::ToJson(r);
 }
 
 bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
                        std::string* error) {
-  *out = QueryLogRecord{};
-  bool saw_version = false;
-  jsonutil::JsonParser p(line);
-  if (!p.Eat('{')) return p.Fail(error, "expected '{'");
-  if (!p.Peek('}')) {
-    while (true) {
-      std::string key;
-      if (!p.NextKey(&key)) return p.Fail(error, "expected \"key\":");
-      bool ok = true;
-      uint64_t n = 0;
-      if (key == "v") {
-        ok = p.ParseUint(&n);
-        saw_version = ok && n == 1;
-        if (ok && n != 1) {
-          return p.Fail(error, "unsupported record version " +
-                                   std::to_string(n));
-        }
-      } else if (key == "id") {
-        ok = p.ParseUint(&out->correlation_id);
-      } else if (key == "hash") {
-        ok = p.ParseUint(&out->query_hash);
-      } else if (key == "unix_ms") {
-        ok = p.ParseUint(&out->unix_ms);
-      } else if (key == "graph") {
-        ok = p.ParseString(&out->graph);
-      } else if (key == "query") {
-        ok = p.ParseString(&out->query);
-      } else if (key == "fragment") {
-        ok = p.ParseString(&out->fragment);
-      } else if (key == "outcome") {
-        ok = p.ParseString(&out->outcome);
-      } else if (key == "error") {
-        ok = p.ParseString(&out->error);
-      } else if (key == "parse_ns") {
-        ok = p.ParseUint(&out->parse_ns);
-      } else if (key == "optimize_ns") {
-        ok = p.ParseUint(&out->optimize_ns);
-      } else if (key == "eval_ns") {
-        ok = p.ParseUint(&out->eval_ns);
-      } else if (key == "rows_out") {
-        ok = p.ParseUint(&out->rows_out);
-      } else if (key == "total_mappings") {
-        ok = p.ParseUint(&out->total_mappings);
-      } else if (key == "peak_mappings") {
-        ok = p.ParseUint(&out->peak_mappings);
-      } else if (key == "peak_bytes") {
-        ok = p.ParseUint(&out->peak_bytes);
-      } else if (key == "threads") {
-        ok = p.ParseUint(&n);
-        out->threads = static_cast<int>(n);
-      } else if (key == "cache") {
-        ok = p.ParseString(&out->cache);
-      } else if (key == "slow") {
-        ok = p.ParseBool(&out->slow);
-      } else if (key == "explain") {
-        ok = p.ParseString(&out->explain);
-      } else {
-        // Unknown key: skip a string, unsigned or boolean value (forward
-        // compat).
-        std::string skip_s;
-        bool skip_b = false;
-        ok = p.ParseString(&skip_s) || p.ParseUint(&n) || p.ParseBool(&skip_b);
-      }
-      if (!ok) return p.Fail(error, "bad value for key \"" + key + "\"");
-      if (p.Eat(',')) continue;
-      break;
-    }
-  }
-  if (!p.Eat('}')) return p.Fail(error, "expected '}'");
-  if (!p.AtEnd()) return p.Fail(error, "trailing bytes after record");
-  if (!saw_version) return p.Fail(error, "missing \"v\":1 version tag");
-  if (out->outcome.empty()) return p.Fail(error, "missing \"outcome\"");
-  return true;
+  if (!jsonutil::FromJson(line, out, error, /*open=*/true)) return false;
+  return !out->outcome.empty() || jsonutil::Fail(error, "empty \"outcome\"");
 }
 
 QueryLog::QueryLog(QueryLogOptions options)
@@ -312,9 +201,9 @@ std::string QueryLogAggregator::ToText(size_t top_n) const {
     const FragmentAgg* agg = FindFragment(name);
     std::snprintf(buf, sizeof(buf), "  %-24s %8llu %10s %10s %10s\n",
                   name.c_str(), static_cast<unsigned long long>(agg->count),
-                  NsString(agg->eval_ns->Percentile(0.5)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.9)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.99)).c_str());
+                  PercentileNs(*agg->eval_ns, 0.5).c_str(),
+                  PercentileNs(*agg->eval_ns, 0.9).c_str(),
+                  PercentileNs(*agg->eval_ns, 0.99).c_str());
     out += buf;
   }
 
@@ -340,7 +229,7 @@ std::string QueryLogAggregator::ToText(size_t top_n) const {
   out += buf;
   for (const QueryLogRecord* r : by_time) {
     std::snprintf(buf, sizeof(buf), "  %10s  id=%-6llu %-18s %s\n",
-                  NsString(static_cast<double>(r->TotalNs())).c_str(),
+                  FormatNs(r->TotalNs()).c_str(),
                   static_cast<unsigned long long>(r->correlation_id),
                   (r->fragment.empty() ? "(unparsed)" : r->fragment).c_str(),
                   Truncated(r->query, 60).c_str());
@@ -457,8 +346,8 @@ std::string QueryLogAggregator::TopHashesText(size_t top_n) const {
     std::snprintf(buf, sizeof(buf), "  %016llx %8llu %10s %10s  %s\n",
                   static_cast<unsigned long long>(hash),
                   static_cast<unsigned long long>(agg->count),
-                  NsString(agg->eval_ns->Percentile(0.5)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.99)).c_str(),
+                  PercentileNs(*agg->eval_ns, 0.5).c_str(),
+                  PercentileNs(*agg->eval_ns, 0.99).c_str(),
                   Truncated(agg->example, 60).c_str());
     out += buf;
   }

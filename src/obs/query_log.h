@@ -61,6 +61,33 @@ struct QueryLogRecord {
   std::string explain;
 
   uint64_t TotalNs() const { return parse_ns + optimize_ns + eval_ns; }
+
+  /// The JSONL format (obs/json_util.h), one key per field after the
+  /// `"v":1` tag; empty error, cache and explain, a zero optimize_ns and a
+  /// false slow are left out.
+  template <class Self, class V>
+  static void Fields(Self& r, V& v) {
+    v.Version(1);
+    v("id", r.correlation_id);
+    v("hash", r.query_hash);
+    v("unix_ms", r.unix_ms);
+    v("graph", r.graph);
+    v("query", r.query);
+    v("fragment", r.fragment);
+    v("outcome", r.outcome);
+    v("error", r.error, !r.error.empty());
+    v("parse_ns", r.parse_ns);
+    v("optimize_ns", r.optimize_ns, r.optimize_ns != 0);
+    v("eval_ns", r.eval_ns);
+    v("rows_out", r.rows_out);
+    v("total_mappings", r.total_mappings);
+    v("peak_mappings", r.peak_mappings);
+    v("peak_bytes", r.peak_bytes);
+    v("threads", r.threads);
+    v("cache", r.cache, !r.cache.empty());
+    v("slow", r.slow, r.slow);
+    v("explain", r.explain, r.slow && !r.explain.empty());
+  }
 };
 
 /// Configuration for a QueryLog sink.
@@ -106,9 +133,10 @@ uint64_t StableQueryHash(std::string_view query);
 /// version tag and one key per QueryLogRecord field.
 std::string QueryLogRecordToJson(const QueryLogRecord& record);
 
-/// Parses one JSONL line back into a record. Unknown keys are ignored
-/// (forward compatibility); a malformed line or a missing version tag
-/// fails with a message in *error. Shared by tools/rdfql_stats and tests.
+/// Parses one JSONL line back into a record, keys in any order. Unknown
+/// keys are skipped and missing ones keep their defaults (forward
+/// compatibility); a malformed line or a missing version tag fails with a
+/// message in *error. Shared by tools/rdfql_stats and tests.
 bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
                        std::string* error);
 

@@ -54,6 +54,29 @@ struct TelemetryWindow {
   /// the window's non-empty buckets — windowed percentiles come from
   /// merging these, not from the cumulative histogram.
   std::vector<std::pair<uint64_t, uint64_t>> eval_buckets;
+
+  template <class Self, class V>
+  static void Fields(Self& w, V& v) {
+    v("end_unix_ms", w.end_unix_ms);
+    v("seconds", w.seconds);
+    v("queries", w.queries);
+    v("rejections", w.rejections);
+    v("watchdog_cancels", w.watchdog_cancels);
+    v("eval_count", w.eval_count);
+    v("eval_buckets", w.eval_buckets);
+  }
+};
+
+/// One profiler tag and its self samples.
+struct HotTag {
+  std::string tag;
+  uint64_t self = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& t, V& v) {
+    v("tag", t.tag);
+    v("self", t.self);
+  }
 };
 
 /// What the sampler publishes each tick: cumulative totals, rates and
@@ -74,11 +97,11 @@ struct TelemetrySnapshot {
   double eval_p99_ns = 0;
   std::vector<TelemetryWindow> windows;
   InflightSnapshot inflight;
-  /// The profiler's hottest tags by self samples, (tag, self) pairs hottest
-  /// first — present only while an engine profiler is running (rdfql_top
-  /// renders these as its hot-tag panel). Absent entirely otherwise, and
-  /// the parser accepts both forms.
-  std::vector<std::pair<std::string, uint64_t>> hot_tags;
+  /// The profiler's hottest tags by self samples, hottest first — present
+  /// only while an engine profiler is running (rdfql_top renders these as
+  /// its hot-tag panel). Absent entirely otherwise, and the parser accepts
+  /// both forms.
+  std::vector<HotTag> hot_tags;
   /// Alert-engine view at the tick — present only when the sampler drives
   /// an AlertEngine (has_alerts distinguishes "no engine" from "no rules");
   /// the parser accepts both forms.
@@ -91,11 +114,37 @@ struct TelemetrySnapshot {
   std::string build_type;
 
   std::string ToJson() const;
+
+  /// The snapshot file's JSON object (obs/json_util.h).
+  template <class Self, class V>
+  static void Fields(Self& s, V& v) {
+    v("unix_ms", s.unix_ms);
+    v("interval_ms", s.interval_ms);
+    v("ticks", s.ticks);
+    v("queries_total", s.queries_total);
+    v("rejected_total", s.rejected_total);
+    v("watchdog_cancelled_total", s.watchdog_cancelled_total);
+    v("queries_active", s.queries_active);
+    v("qps", s.qps);
+    v("rejections_per_s", s.rejections_per_s);
+    v("eval_p50_ns", s.eval_p50_ns);
+    v("eval_p99_ns", s.eval_p99_ns);
+    v("windows", s.windows);
+    v("inflight", s.inflight);
+    v("hot_tags", s.hot_tags, !s.hot_tags.empty());
+    v.Flagged("alerts", s.alerts, s.has_alerts);
+    v.Object(
+        "build",
+        [&s](auto& b) {
+          b("sha", s.build_sha);
+          b("build", s.build_type);
+        },
+        !s.build_sha.empty() || !s.build_type.empty());
+  }
 };
 
-/// Parses a snapshot produced by TelemetrySnapshot::ToJson (strict field
-/// order, same discipline as the query-log reader). Returns false with a
-/// diagnostic in `*error` on malformed input.
+/// Parses a snapshot produced by TelemetrySnapshot::ToJson, keys in any
+/// order. Returns false with a diagnostic in `*error` on malformed input.
 bool ParseTelemetrySnapshot(std::string_view json, TelemetrySnapshot* out,
                             std::string* error);
 

@@ -3,31 +3,16 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
-
-void AppendDuration(uint64_t ns, std::string* out) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else if (ns < 10'000'000'000ULL) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fs", static_cast<double>(ns) / 1e9);
-  }
-  out->append(buf);
-}
 
 void RenderTree(const TraceSpan& span, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += span.op;
   if (!span.detail.empty()) *out += " " + span.detail;
-  *out += " t=";
-  AppendDuration(span.duration_ns, out);
+  *out += " t=" + FormatNs(span.duration_ns);
   for (const auto& [name, value] : span.counters) {
     *out += " " + name + "=" + std::to_string(value);
   }
@@ -73,8 +58,6 @@ void RenderChromeEvent(const TraceSpan& span, bool* first, std::string* out) {
 }
 
 }  // namespace
-
-thread_local OpCounters* ScopedOpCounters::current_ = nullptr;
 
 void TraceSpan::AddCounter(std::string_view name, uint64_t delta) {
   for (auto& [n, v] : counters) {

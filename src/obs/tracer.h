@@ -150,7 +150,9 @@ class ScopedOpCounters {
 
  private:
   OpCounters* prev_;
-  static thread_local OpCounters* current_;
+  /// Constant-initialized, so access is a plain TLS load with no init
+  /// guard, in every translation unit.
+  static inline thread_local constinit OpCounters* current_ = nullptr;
 };
 
 }  // namespace rdfql

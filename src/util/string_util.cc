@@ -54,8 +54,10 @@ std::string FormatNs(uint64_t ns) {
                   static_cast<unsigned long long>(ns));
   } else if (ns < 10'000'000) {
     std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
+  } else if (ns < 10'000'000'000) {
     std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1fs", static_cast<double>(ns) / 1e9);
   }
   return buf;
 }

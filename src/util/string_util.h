@@ -21,8 +21,8 @@ std::string Join(const std::vector<std::string>& pieces,
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// A duration for people: "950ns", "12.3us", "4.5ms" (milliseconds from
-/// 10 ms up, however long).
+/// A duration for people: "950ns", "12.3us", "4.5ms", "12.3s" (each unit
+/// from 10 of the one below).
 std::string FormatNs(uint64_t ns);
 
 /// A byte count for people: "950B", "12.3KB", "4.5MB" (decimal units).

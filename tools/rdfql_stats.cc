@@ -134,6 +134,7 @@ bool LintFile(const std::string& path) {
 
 /// Per-rule roll-up of an alert log (--alerts).
 struct AlertRuleAgg {
+  std::string rule;
   std::string severity;
   std::string fragment;
   uint64_t pending = 0;
@@ -143,6 +144,38 @@ struct AlertRuleAgg {
   uint64_t last_unix_ms = 0;
   double last_value = 0;
   double threshold = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& a, V& v) {
+    v("rule", a.rule);
+    v("severity", a.severity);
+    v("fragment", a.fragment);
+    v("pending", a.pending);
+    v("firing", a.firing);
+    v("resolved", a.resolved);
+    v("last_state", a.last_state);
+    v("last_unix_ms", a.last_unix_ms);
+    v("last_value", a.last_value);
+    v("threshold", a.threshold);
+  }
+};
+
+/// The --alerts --json document.
+struct AlertsSummary {
+  uint64_t transitions = 0;
+  uint64_t pending = 0;
+  uint64_t firing = 0;
+  uint64_t resolved = 0;
+  std::vector<AlertRuleAgg> rules;
+
+  template <class Self, class V>
+  static void Fields(Self& s, V& v) {
+    v("transitions", s.transitions);
+    v("pending", s.pending);
+    v("firing", s.firing);
+    v("resolved", s.resolved);
+    v("rules", s.rules);
+  }
 };
 
 /// Reads alert-transition JSONL files and prints the roll-up: totals by
@@ -177,6 +210,7 @@ bool AlertsReport(const std::vector<std::string>& paths, bool json,
   std::map<std::string, AlertRuleAgg> rules;
   for (const rdfql::AlertTransition& t : transitions) {
     AlertRuleAgg& agg = rules[t.rule];
+    agg.rule = t.rule;
     agg.severity = t.severity;
     agg.fragment = t.fragment;
     agg.threshold = t.threshold;
@@ -195,34 +229,9 @@ bool AlertsReport(const std::vector<std::string>& paths, bool json,
     agg.last_value = t.value;
   }
   if (json) {
-    namespace ju = rdfql::jsonutil;
-    std::string out = "{";
-    bool first = true;
-    ju::AppendUint("transitions", transitions.size(), &first, &out);
-    ju::AppendUint("pending", pending, &first, &out);
-    ju::AppendUint("firing", firing, &first, &out);
-    ju::AppendUint("resolved", resolved, &first, &out);
-    out += ",\"rules\":[";
-    bool first_rule = true;
-    for (const auto& [name, agg] : rules) {
-      if (!first_rule) out += ",";
-      first_rule = false;
-      out += "{";
-      bool f = true;
-      ju::AppendString("rule", name, &f, &out);
-      ju::AppendString("severity", agg.severity, &f, &out);
-      ju::AppendString("fragment", agg.fragment, &f, &out);
-      ju::AppendUint("pending", agg.pending, &f, &out);
-      ju::AppendUint("firing", agg.firing, &f, &out);
-      ju::AppendUint("resolved", agg.resolved, &f, &out);
-      ju::AppendString("last_state", agg.last_state, &f, &out);
-      ju::AppendUint("last_unix_ms", agg.last_unix_ms, &f, &out);
-      ju::AppendDouble("last_value", agg.last_value, &f, &out);
-      ju::AppendDouble("threshold", agg.threshold, &f, &out);
-      out += "}";
-    }
-    out += "]}";
-    std::printf("%s\n", out.c_str());
+    AlertsSummary summary{transitions.size(), pending, firing, resolved, {}};
+    for (const auto& [name, agg] : rules) summary.rules.push_back(agg);
+    std::printf("%s\n", rdfql::jsonutil::ToJson(summary).c_str());
     return true;
   }
   std::printf("alerts: %llu transition(s), %llu rule(s) | pending=%llu "

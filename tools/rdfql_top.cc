@@ -30,22 +30,9 @@
 #include <unistd.h>
 
 #include "obs/telemetry.h"
+#include "util/string_util.h"
 
 namespace {
-
-std::string PhaseString(double ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else if (ns < 10'000'000'000.0) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fs", ns / 1e9);
-  }
-  return buf;
-}
 
 std::string TimeString(uint64_t unix_ms) {
   std::time_t secs = static_cast<std::time_t>(unix_ms / 1000);
@@ -96,10 +83,10 @@ std::string RenderFrame(const rdfql::TelemetrySnapshot& snap,
                 snap.rejections_per_s, snap.watchdog_cancelled_total,
                 static_cast<long long>(snap.queries_active));
   out += line;
-  std::snprintf(line, sizeof(line), "eval latency (windowed): p50=%s p99=%s\n",
-                PhaseString(snap.eval_p50_ns).c_str(),
-                PhaseString(snap.eval_p99_ns).c_str());
-  out += line;
+  out += "eval latency (windowed): p50=" +
+         rdfql::FormatNs(static_cast<uint64_t>(snap.eval_p50_ns)) +
+         " p99=" + rdfql::FormatNs(static_cast<uint64_t>(snap.eval_p99_ns)) +
+         "\n";
   if (!snap.windows.empty()) {
     out += "qps [" + Sparkline(snap.windows) + "]\n";
   }
@@ -112,14 +99,14 @@ std::string RenderFrame(const rdfql::TelemetrySnapshot& snap,
     // Present only while the engine side runs a sampling profiler: a bar
     // per tag, scaled to the hottest, so the panel reads like `perf top`.
     out += "\nhot tags (profiler, self samples)\n";
-    uint64_t max_self = snap.hot_tags.front().second;
-    for (const auto& [tag, self] : snap.hot_tags) {
-      if (self > max_self) max_self = self;
+    uint64_t max_self = 0;
+    for (const rdfql::HotTag& t : snap.hot_tags) {
+      max_self = std::max(max_self, t.self);
     }
-    for (const auto& [tag, self] : snap.hot_tags) {
-      int width = max_self > 0 ? static_cast<int>(self * 24 / max_self) : 0;
+    for (const rdfql::HotTag& t : snap.hot_tags) {
+      int width = max_self > 0 ? static_cast<int>(t.self * 24 / max_self) : 0;
       std::snprintf(line, sizeof(line), "  %-28s %8" PRIu64 " %.*s\n",
-                    tag.c_str(), self, width,
+                    t.tag.c_str(), t.self, width,
                     "========================");
       out += line;
     }
