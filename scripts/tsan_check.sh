@@ -4,6 +4,8 @@
 # exercise the thread pool, the concurrent subtree evaluation, the
 # resource caps at 1, 2 and 8 threads (a cap must hold at every thread
 # count, with pool workers charging the coordinator's accountant), the
+# accountant itself (pool workers' sets flushing their batches into one
+# accountant at threads = 4), the
 # sharded query cache (hit/miss/eviction races, epoch invalidation), the
 # live-monitoring surface (in-flight registry, telemetry sampler, watchdog
 # cancellation — all inherently cross-thread), and the sampling profiler
@@ -28,13 +30,13 @@ cmake --build build-tsan --target \
   evaluator_test engine_test inflight_test telemetry_test \
   query_cache_test profiler_test history_test alerts_test \
   query_log_test metrics_test query_lifecycle_test limits_test \
-  rdfql_shell rdfql_stats rdfql_top || exit 1
+  obs_accounting_test rdfql_shell rdfql_stats rdfql_top || exit 1
 
 # halt_on_error: fail the run on the first report instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest|Readers/EngineCatalogTest|shell_smoke|live_monitor_smoke)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|QueryLogTest|EngineQueryLogTest|RegistryTest|EngineMetricsTest|QueryLifecycleTest|Threads/QueryLifecycleThreadsTest|LimitsTest|ResourceAccountantTest|JoinAccountingTest|Readers/EngineCatalogTest|shell_smoke|live_monitor_smoke)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

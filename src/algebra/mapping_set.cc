@@ -127,10 +127,11 @@ struct AllRows {
 // every row of `rows`, in order, where `emit` takes a Mapping (by const
 // reference to copy it, by rvalue to move it) and `probe_row` returns the
 // join probes the row cost; the sum lands in the node's OpCounters. Every
-// emitted row goes straight into the result, so the accountant charges it
-// at once, and the loop polls for cancellation every kCheckpointStride rows
-// or probes. The result starts with room for `reserve` rows, a size the
-// caller knows it reaches.
+// emitted row goes straight into the result, which charges the accountant
+// every MappingSet::kAccountingBatch rows and once more before it is
+// returned, and the loop polls for cancellation every kCheckpointStride
+// rows or probes. The result starts with room for `reserve` rows, a size
+// the caller knows it reaches.
 template <typename ProbeRow>
 MappingSet ProbeRows(const MappingSet& rows, size_t reserve,
                      ProbeRow&& probe_row) {
@@ -150,6 +151,7 @@ MappingSet ProbeRows(const MappingSet& rows, size_t reserve,
     work += row_probes;
   }
   if (OpCounters* oc = ScopedOpCounters::Current()) oc->join_probes += probes;
+  out.FlushAccounting();
   return out;
 }
 
@@ -191,6 +193,7 @@ MappingSet MappingSet::FromList(const std::vector<Mapping>& mappings) {
   MappingSet out;
   out.Reserve(mappings.size());
   for (const Mapping& m : mappings) out.Add(m);
+  out.FlushAccounting();
   return out;
 }
 
@@ -234,7 +237,7 @@ bool MappingSet::Insert(M&& m) {
   if (index_[slot] != kEmptySlot) return false;
   items_.push_back(std::forward<M>(m));
   index_[slot] = (static_cast<uint64_t>(hash) << 32) | items_.size();
-  AccountAdd(items_.back().ApproxBytes());
+  AccountAdd(1, items_.back().ApproxBytes());
   return true;
 }
 
@@ -247,13 +250,18 @@ bool MappingSet::Contains(const Mapping& m) const {
   return index_[FindSlot(m, IndexHash(m))] != kEmptySlot;
 }
 
-MappingSet::MappingSet(const MappingSet& other)
-    : items_(other.items_), index_(other.index_) {
+void MappingSet::ChargeCopy() {
   // A copy is a fresh allocation: charge it in full to whichever
   // accountant is installed *now* (e.g. UnionSets copying its left input
   // inside an accounted evaluation).
-  if (ResourceAccountant::Current() == nullptr) return;
-  for (const Mapping& m : items_) AccountAdd(m.ApproxBytes());
+  if (items_.empty() || ResourceAccountant::Current() == nullptr) return;
+  AccountAdd(items_.size(), ApproxBytes());
+  FlushAccounting();
+}
+
+MappingSet::MappingSet(const MappingSet& other)
+    : items_(other.items_), index_(other.index_) {
+  ChargeCopy();
 }
 
 MappingSet& MappingSet::operator=(const MappingSet& other) {
@@ -261,9 +269,7 @@ MappingSet& MappingSet::operator=(const MappingSet& other) {
   DetachAccounting();
   items_ = other.items_;
   index_ = other.index_;
-  if (ResourceAccountant::Current() != nullptr) {
-    for (const Mapping& m : items_) AccountAdd(m.ApproxBytes());
-  }
+  ChargeCopy();
   return *this;
 }
 
@@ -273,12 +279,12 @@ MappingSet::MappingSet(MappingSet&& other) noexcept
       acct_(other.acct_),
       acct_epoch_(other.acct_epoch_),
       acct_mappings_(other.acct_mappings_),
-      acct_bytes_(other.acct_bytes_) {
+      acct_bytes_(other.acct_bytes_),
+      pending_mappings_(other.pending_mappings_),
+      pending_bytes_(other.pending_bytes_) {
   other.items_.clear();
   other.index_.clear();
-  other.acct_ = nullptr;
-  other.acct_mappings_ = 0;
-  other.acct_bytes_ = 0;
+  other.ForgetAccounting();
 }
 
 MappingSet& MappingSet::operator=(MappingSet&& other) noexcept {
@@ -290,21 +296,38 @@ MappingSet& MappingSet::operator=(MappingSet&& other) noexcept {
   acct_epoch_ = other.acct_epoch_;
   acct_mappings_ = other.acct_mappings_;
   acct_bytes_ = other.acct_bytes_;
+  pending_mappings_ = other.pending_mappings_;
+  pending_bytes_ = other.pending_bytes_;
   other.items_.clear();
   other.index_.clear();
-  other.acct_ = nullptr;
-  other.acct_mappings_ = 0;
-  other.acct_bytes_ = 0;
+  other.ForgetAccounting();
   return *this;
+}
+
+void MappingSet::ChargePending() {
+  if (acct_->epoch() == acct_epoch_) {
+    acct_->OnAdd(pending_mappings_, pending_bytes_);
+    acct_mappings_ += pending_mappings_;
+    acct_bytes_ += pending_bytes_;
+  }
+  pending_mappings_ = 0;
+  pending_bytes_ = 0;
 }
 
 void MappingSet::DetachAccounting() {
   if (acct_ != nullptr && acct_->epoch() == acct_epoch_) {
+    FlushAccounting();
     acct_->OnRemove(acct_mappings_, acct_bytes_);
   }
+  ForgetAccounting();
+}
+
+void MappingSet::ForgetAccounting() {
   acct_ = nullptr;
   acct_mappings_ = 0;
   acct_bytes_ = 0;
+  pending_mappings_ = 0;
+  pending_bytes_ = 0;
 }
 
 MappingSet MappingSet::Join(const MappingSet& a, const MappingSet& b) {
@@ -347,12 +370,14 @@ MappingSet MappingSet::JoinNestedLoop(const MappingSet& a,
   if (OpCounters* oc = ScopedOpCounters::Current()) {
     oc->join_probes += static_cast<uint64_t>(a.size()) * b.size();
   }
+  out.FlushAccounting();
   return out;
 }
 
 MappingSet MappingSet::UnionSets(const MappingSet& a, const MappingSet& b) {
   MappingSet out = a;
   for (const Mapping& m : b) out.Add(m);
+  out.FlushAccounting();
   return out;
 }
 

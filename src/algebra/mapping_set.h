@@ -29,18 +29,26 @@ namespace rdfql {
 /// the pairwise scan.
 ///
 /// The operators are serial and know nothing about threads: every row they
-/// emit is inserted at once, so the ResourceAccountant charges it as it
-/// appears and a memory cap trips mid-kernel, whatever the query's thread
-/// count. (Intra-query parallelism lives one level up, in the evaluator's
-/// concurrent subtrees.)
+/// emit is inserted at once. A set charges the rows it inserts to the
+/// ResourceAccountant in batches: one report per kAccountingBatch rows, and
+/// one from every operator (and evaluator producer) before it returns its
+/// result, while its inputs are still alive. The accountant's figures are
+/// thus exact at every operator boundary and lag by fewer than
+/// kAccountingBatch rows per set being filled, and a memory cap trips
+/// mid-kernel, whatever the query's thread count. (Intra-query parallelism
+/// lives one level up, in the evaluator's concurrent subtrees.)
 class MappingSet {
  public:
+  /// Rows a set inserts between two reports to its accountant.
+  static constexpr uint64_t kAccountingBatch = 64;
+
   MappingSet() = default;
   ~MappingSet() { DetachAccounting(); }
 
-  /// Copies re-account their mappings against the accountant installed at
-  /// copy time; moves carry the source's accounting along (and leave the
-  /// source empty and unaccounted).
+  /// Copies charge all their mappings, in one report, to the accountant
+  /// installed at copy time; moves carry the source's accounting along,
+  /// rows not yet reported included (and leave the source empty and
+  /// unaccounted).
   MappingSet(const MappingSet& other);
   MappingSet& operator=(const MappingSet& other);
   MappingSet(MappingSet&& other) noexcept;
@@ -109,18 +117,25 @@ class MappingSet {
   /// cache's result byte budgets.
   size_t ApproxBytes() const;
 
-  /// Returns this set's memory to its accountant (if any) and stops
-  /// reporting. The evaluator detaches a query's result set before handing
-  /// it out, so per-query peaks cover intermediates plus the result but
-  /// the escaping set never holds a pointer to a dead accountant.
+  /// Reports the rows inserted since the last report to the accountant.
+  /// Every function that returns a set it built calls this first, so the
+  /// accountant sees the whole set while the function's inputs are alive.
+  void FlushAccounting() {
+    if (pending_mappings_ != 0) ChargePending();
+  }
+
+  /// Reports any pending rows, returns this set's memory to its accountant
+  /// (if any) and stops reporting. The evaluator detaches a query's result
+  /// set before handing it out, so per-query peaks cover intermediates plus
+  /// the result but the escaping set never holds a pointer to a dead
+  /// accountant.
   void DetachAccounting();
 
  private:
-  /// Charges one freshly inserted mapping of `bytes` to the accountant.
-  /// Latches (accountant, epoch) on first use; a latched set whose
-  /// accountant was Reset since goes silent rather than corrupting the new
-  /// epoch's live counts.
-  void AccountAdd(size_t bytes) {
+  /// Counts `mappings` freshly inserted mappings of `bytes` in all, and
+  /// reports once kAccountingBatch rows are pending. Latches (accountant,
+  /// epoch) on first use.
+  void AccountAdd(uint64_t mappings, uint64_t bytes) {
     if (acct_ == nullptr) {
       ResourceAccountant* cur = ResourceAccountant::Current();
       if (cur == nullptr) [[likely]] {
@@ -129,11 +144,18 @@ class MappingSet {
       acct_ = cur;
       acct_epoch_ = cur->epoch();
     }
-    if (acct_->epoch() != acct_epoch_) return;
-    acct_->OnAdd(1, bytes);
-    ++acct_mappings_;
-    acct_bytes_ += bytes;
+    pending_mappings_ += mappings;
+    pending_bytes_ += bytes;
+    if (pending_mappings_ >= kAccountingBatch) ChargePending();
   }
+  /// Charges the pending rows in one OnAdd. A latched set whose accountant
+  /// was Reset since goes silent rather than corrupting the new epoch's
+  /// live counts.
+  void ChargePending();
+  /// Charges a freshly copied set in full, in one report.
+  void ChargeCopy();
+  /// Drops the accountant and every count, reporting nothing.
+  void ForgetAccounting();
 
   /// The index slot holding a mapping equal to `m` (whose index hash is
   /// `hash`), or else the empty slot where `m` would go. Requires a
@@ -157,8 +179,12 @@ class MappingSet {
 
   ResourceAccountant* acct_ = nullptr;
   uint64_t acct_epoch_ = 0;
+  /// What the accountant has been charged for this set.
   uint64_t acct_mappings_ = 0;
   uint64_t acct_bytes_ = 0;
+  /// Inserted since the last report.
+  uint64_t pending_mappings_ = 0;
+  uint64_t pending_bytes_ = 0;
 };
 
 }  // namespace rdfql

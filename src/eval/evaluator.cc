@@ -179,6 +179,7 @@ MappingSet Evaluator::EvalUnionSpine(const Pattern& p) const {
   for (size_t i = 1; i < parts.size(); ++i) {
     for (const Mapping& m : parts[i]) out.Add(m);
   }
+  out.FlushAccounting();
   return out;
 }
 
@@ -223,6 +224,7 @@ MappingSet Evaluator::IndexJoinWithTriple(const MappingSet& left,
     oc->index_probes += probes;
     oc->join_probes += pairs;
   }
+  out.FlushAccounting();
   return out;
 }
 
@@ -277,6 +279,7 @@ MappingSet Evaluator::EvalTriple(const TriplePattern& t) const {
     out.Add(std::move(m));
   });
   if (OpCounters* oc = ScopedOpCounters::Current()) ++oc->index_probes;
+  out.FlushAccounting();
   return out;
 }
 
@@ -408,6 +411,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       if (OpCounters* oc = ScopedOpCounters::Current()) {
         oc->filter_evals += in.size();
       }
+      out.FlushAccounting();
       return out;
     }
     case PatternKind::kSelect: {
@@ -416,6 +420,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       for (const Mapping& m : in) {
         out.Add(m.RestrictTo(p.projection()));
       }
+      out.FlushAccounting();
       return out;
     }
     case PatternKind::kNs: {

@@ -33,6 +33,7 @@ MappingSet RemoveSubsumedNaive(const MappingSet& input) {
   if (OpCounters* oc = ScopedOpCounters::Current()) {
     oc->ns_pairs_compared += pairs;
   }
+  out.FlushAccounting();
   return out;
 }
 
@@ -225,6 +226,7 @@ MappingSet RemoveSubsumedBucketed(const MappingSet& input) {
   for (size_t i = 0; i < rows.size(); ++i) {
     if (!dead[i]) out.Add(rows[i]);
   }
+  out.FlushAccounting();
   return out;
 }
 

@@ -46,6 +46,7 @@ MappingSet ExtendByTriple(const Graph& graph, const MappingSet& seeds,
     oc->index_probes += seeds.size();
     oc->join_probes += pairs;
   }
+  out.FlushAccounting();
   return out;
 }
 
@@ -70,6 +71,7 @@ MappingSet EvalNode(const Graph& graph, const WdTreeNode& node,
     for (const Mapping& m : current) {
       if (condition->Eval(m)) filtered.Add(m);
     }
+    filtered.FlushAccounting();
     current = std::move(filtered);
     if (current.empty()) return current;
   }
@@ -78,6 +80,7 @@ MappingSet EvalNode(const Graph& graph, const WdTreeNode& node,
     for (const Mapping& m : current) {
       MappingSet seed;
       seed.Add(m);
+      seed.FlushAccounting();
       MappingSet extensions = EvalNode(graph, *child, seed);
       if (extensions.empty()) {
         next.Add(m);
@@ -85,6 +88,7 @@ MappingSet EvalNode(const Graph& graph, const WdTreeNode& node,
         for (const Mapping& e : extensions) next.Add(e);
       }
     }
+    next.FlushAccounting();
     current = std::move(next);
   }
   return current;
@@ -100,6 +104,7 @@ Result<MappingSet> EvalWellDesignedTopDown(const Graph& graph,
                          BuildWdTree(pattern));
   MappingSet seeds;
   seeds.Add(Mapping());
+  seeds.FlushAccounting();
   if (tracer == nullptr && metrics == nullptr) {
     MappingSet result = EvalNode(graph, *tree, seeds);
     if (CancellationToken* token = CancellationToken::Current();

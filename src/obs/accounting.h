@@ -12,7 +12,14 @@ namespace rdfql {
 /// and approximate bytes, plus cumulative totals. MappingSet (and the NS
 /// kernel's transient scratch) report allocations to whichever accountant
 /// is installed via ScopedAccounting; with none installed — the common,
-/// unobserved path — each report is one relaxed atomic load and a branch.
+/// unobserved path — an insert pays one thread-local load and a branch.
+///
+/// A MappingSet reports in batches: one OnAdd per
+/// MappingSet::kAccountingBatch rows it inserts, one when the operator that
+/// built it returns it, and one before it gives its memory back. The live
+/// and peak figures are therefore exact at every operator boundary, and
+/// while a set is being filled they lag by fewer than kAccountingBatch rows
+/// for that set. Armed caps are checked at each OnAdd, i.e. at each batch.
 ///
 /// The install point lives in the thread-local ExecContext (util/limits.h):
 /// each coordinating thread installs its own accountant, so concurrent
@@ -22,8 +29,8 @@ namespace rdfql {
 ///
 /// Epochs: a MappingSet that outlives the accountant's Reset must not
 /// decrement counts it never incremented against the new epoch. Sets latch
-/// (accountant, epoch) on first insert and silently stop reporting when
-/// either changed.
+/// (accountant, epoch) on first insert, compare the epoch at each report,
+/// and silently stop reporting once it changed.
 class ResourceAccountant {
  public:
   ResourceAccountant() = default;
@@ -85,9 +92,10 @@ class ResourceAccountant {
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// Turns the passive accountant into an enforcer: once armed, any OnAdd
-  /// that pushes the live figures past a non-zero cap cancels `token` with
-  /// kResourceExhausted. Arm before evaluation starts (the fields are read
-  /// concurrently by pool workers but only written here); disarm after.
+  /// (a batch of rows, see above) that pushes the live figures past a
+  /// non-zero cap cancels `token` with kResourceExhausted. Arm before
+  /// evaluation starts (the fields are read concurrently by pool workers but
+  /// only written here); disarm after.
   void ArmCaps(uint64_t max_live_mappings, uint64_t max_live_bytes,
                CancellationToken* token) {
     cap_mappings_.store(max_live_mappings, std::memory_order_relaxed);

@@ -209,17 +209,22 @@ bool ParseDurationMs(std::string_view text, uint64_t* out_ms) {
   bool digits = false;
   while (i < text.size() &&
          std::isdigit(static_cast<unsigned char>(text[i]))) {
-    v = v * 10 + static_cast<uint64_t>(text[i++] - '0');
+    if (__builtin_mul_overflow(v, 10, &v) ||
+        __builtin_add_overflow(v, static_cast<uint64_t>(text[i++] - '0'),
+                               &v)) {
+      return false;
+    }
     digits = true;
   }
   if (!digits) return false;
   std::string_view unit = text.substr(i);
-  if (unit.empty() || unit == "ms") *out_ms = v;
-  else if (unit == "s") *out_ms = v * 1000;
-  else if (unit == "m") *out_ms = v * 60 * 1000;
-  else if (unit == "h") *out_ms = v * 60 * 60 * 1000;
+  uint64_t scale = 0;
+  if (unit.empty() || unit == "ms") scale = 1;
+  else if (unit == "s") scale = 1000;
+  else if (unit == "m") scale = 60 * 1000;
+  else if (unit == "h") scale = 60 * 60 * 1000;
   else return false;
-  return true;
+  return !__builtin_mul_overflow(v, scale, out_ms);
 }
 
 bool ParseAlertRules(std::string_view json, std::vector<AlertRule>* out,

@@ -67,7 +67,8 @@ std::string FragmentMetricName(std::string_view metric,
                                std::string_view fragment);
 
 /// Parses "500ms" / "30s" / "5m" / "1h" (or a bare number of milliseconds)
-/// into milliseconds. Returns false on any other shape.
+/// into milliseconds. Returns false on any other shape, and when the number
+/// or the milliseconds overflow 64 bits.
 bool ParseDurationMs(std::string_view text, uint64_t* out_ms);
 
 struct AlertCondition {

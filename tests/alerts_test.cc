@@ -36,13 +36,18 @@ TEST(AlertsTest, ParseDurationMs) {
   };
   const Case good[] = {{"500", 500},     {"500ms", 500}, {"0", 0},
                        {"30s", 30000},   {"5m", 300000}, {"1h", 3600000},
-                       {"90s", 90000}};
+                       {"90s", 90000},
+                       {"18446744073709551615ms", UINT64_MAX}};
   for (const Case& c : good) {
     uint64_t ms = 0;
     EXPECT_TRUE(ParseDurationMs(c.text, &ms)) << c.text;
     EXPECT_EQ(ms, c.want) << c.text;
   }
-  const char* bad[] = {"", "ms", "s", "5x", "-5s", "5 s", "1.5s", "s5"};
+  const char* bad[] = {"", "ms", "s", "5x", "-5s", "5 s", "1.5s", "s5",
+                       // 64-bit overflow: in the digits (2^64 + 1, 2^64) or
+                       // in the conversion to milliseconds.
+                       "18446744073709551617ms", "18446744073709551616",
+                       "5124095576030432h", "18446744073709551615s"};
   for (const char* text : bad) {
     uint64_t ms = 0;
     EXPECT_FALSE(ParseDurationMs(text, &ms)) << text;
@@ -143,6 +148,9 @@ TEST(AlertsTest, ParseRulesRejectsMalformedFiles) {
        "agg wants"},
       {R"({"version":1,"rules":[{"name":"r","agg":"rate","metric":"m",
            "windows":["1q"]}]})",
+       "window"},
+      {R"({"version":1,"rules":[{"name":"r","agg":"rate","metric":"m",
+           "windows":["18446744073709551617ms"]}]})",
        "window"},
       {R"({"version":1,"rules":[{"name":"r","agg":"rate","metric":"m",
            "windows":["1m"],"threshold":"fast"}]})",

@@ -299,6 +299,7 @@ TEST(MappingSetTest, CopiesAndMovesKeepIndexAndAccounting) {
     ScopedAccounting install(&acct);
     MappingSet a;
     for (int i = 0; i < kN; ++i) a.Add(Nth(i));
+    a.FlushAccounting();
     const uint64_t bytes = a.ApproxBytes();
     EXPECT_EQ(acct.live_mappings(), 1000u);
     EXPECT_EQ(acct.live_bytes(), bytes);
@@ -333,6 +334,7 @@ TEST(MappingSetTest, CopiesAndMovesKeepIndexAndAccounting) {
     for (MappingSet* s : {&assigned, &moved, &move_assigned, &a}) {
       EXPECT_EQ(s->Add(Nth(0)), s == &a);
       EXPECT_TRUE(s->Add(Nth(kN)));
+      s->FlushAccounting();
     }
     EXPECT_EQ(acct.live_mappings(), 3005u);
     EXPECT_EQ(acct.peak_mappings(), 3005u);

@@ -1,15 +1,19 @@
 // Tests for the per-query resource accountant: exact counters on
-// hand-computed joins, agreement across thread counts, and the epoch
-// mechanism that keeps Reset() safe while old sets are still alive.
+// hand-computed joins, agreement across thread counts, kernel outputs
+// charged in full when returned, and the epoch mechanism that keeps Reset()
+// safe while old sets are still alive.
 
 #include "obs/accounting.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "algebra/mapping.h"
 #include "algebra/mapping_set.h"
 #include "core/engine.h"
 #include "eval/evaluator.h"
+#include "eval/ns.h"
 
 namespace rdfql {
 namespace {
@@ -45,6 +49,7 @@ TEST(ResourceAccountantTest, MappingSetReportsExactBytes) {
     s.Add(m1);
     s.Add(m2);
     s.Add(m1);  // duplicate: rejected, must not be accounted
+    s.FlushAccounting();
     EXPECT_EQ(acct.live_mappings(), 2u);
     EXPECT_EQ(acct.live_bytes(), expected);
   }
@@ -64,6 +69,7 @@ TEST(ResourceAccountantTest, CopyAndMoveTransferAccounting) {
     m.Set(0, 1);
     MappingSet a;
     a.Add(m);
+    a.FlushAccounting();
     EXPECT_EQ(acct.live_mappings(), 1u);
     MappingSet b = a;  // copy re-accounts
     EXPECT_EQ(acct.live_mappings(), 2u);
@@ -180,6 +186,7 @@ TEST(ResourceAccountantTest, StaleSetsSkipDecrementAfterReset) {
   {
     MappingSet s;
     s.Add(m);
+    s.FlushAccounting();
     EXPECT_EQ(acct.live_mappings(), 1u);
     acct.Reset();
     EXPECT_EQ(acct.live_mappings(), 0u);
@@ -191,9 +198,84 @@ TEST(ResourceAccountantTest, StaleSetsSkipDecrementAfterReset) {
   {
     MappingSet s;
     s.Add(m);
+    s.FlushAccounting();
     EXPECT_EQ(acct.live_mappings(), 1u);
   }
   EXPECT_EQ(acct.live_mappings(), 0u);
+}
+
+// Sets charge their accountant in batches, so every kernel must report its
+// output before returning it. Right after each call, with no flush by the
+// caller, the live figures are the sums over the sets still alive. Every
+// size here is off a multiple of the batch, so a kernel that forgets its
+// flush leaves rows uncharged and fails.
+TEST(ResourceAccountantTest, KernelOutputsAreChargedWhenReturned) {
+  ResourceAccountant acct;
+  ScopedAccounting install(&acct);
+  // Ω1: 300 rows over {?0, ?1}; Ω2: rows over {?0} and {?0, ?2}, where
+  // every {?0} row is subsumed by a wider one.
+  std::vector<Mapping> left_rows;
+  for (int i = 0; i < 300; ++i) {
+    Mapping m;
+    m.Set(0, i % 100);
+    m.Set(1, 1000 + i);
+    left_rows.push_back(m);
+  }
+  std::vector<Mapping> right_rows;
+  for (int i = 0; i < 250; ++i) {
+    Mapping m;
+    m.Set(0, 25 + i % 50);
+    if (i % 3 != 0) m.Set(2, 2000 + i);
+    right_rows.push_back(m);
+  }
+  std::vector<const MappingSet*> alive;
+  auto expect_charged = [&](const char* op, const MappingSet& out) {
+    alive.push_back(&out);
+    ASSERT_NE(out.size() % MappingSet::kAccountingBatch, 0u) << op;
+    uint64_t mappings = 0;
+    uint64_t bytes = 0;
+    for (const MappingSet* s : alive) {
+      mappings += s->size();
+      bytes += s->ApproxBytes();
+    }
+    EXPECT_EQ(acct.live_mappings(), mappings) << op;
+    EXPECT_EQ(acct.live_bytes(), bytes) << op;
+  };
+  const MappingSet a = MappingSet::FromList(left_rows);
+  expect_charged("FromList", a);
+  const MappingSet b = MappingSet::FromList(right_rows);
+  expect_charged("FromList", b);
+  const MappingSet join = MappingSet::Join(a, b);
+  expect_charged("Join", join);
+  const MappingSet nested = MappingSet::JoinNestedLoop(a, b);
+  expect_charged("JoinNestedLoop", nested);
+  const MappingSet minus = MappingSet::Minus(a, b);
+  expect_charged("Minus", minus);
+  const MappingSet outer = MappingSet::LeftOuterJoin(a, b);
+  expect_charged("LeftOuterJoin", outer);
+  const MappingSet both = MappingSet::UnionSets(a, b);
+  expect_charged("UnionSets", both);
+  const MappingSet naive = RemoveSubsumedNaive(b);
+  expect_charged("RemoveSubsumedNaive", naive);
+  const MappingSet bucketed = RemoveSubsumedBucketed(b);
+  expect_charged("RemoveSubsumedBucketed", bucketed);
+  EXPECT_LT(naive.size(), b.size());
+
+  // A set filled by hand lags by fewer than a batch until it flushes.
+  const uint64_t before = acct.live_mappings();
+  const uint64_t before_bytes = acct.live_bytes();
+  MappingSet by_hand;
+  for (int i = 0; i < 100; ++i) {
+    Mapping m;
+    m.Set(3, i);
+    by_hand.Add(m);
+  }
+  const uint64_t charged = acct.live_mappings() - before;
+  EXPECT_LE(charged, 100u);
+  EXPECT_LT(100u - charged, MappingSet::kAccountingBatch);
+  by_hand.FlushAccounting();
+  EXPECT_EQ(acct.live_mappings(), before + 100);
+  EXPECT_EQ(acct.live_bytes(), before_bytes + by_hand.ApproxBytes());
 }
 
 TEST(ResourceAccountantTest, ScopedInstallRestoresOuterAccountant) {
